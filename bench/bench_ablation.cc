@@ -20,7 +20,8 @@ namespace {
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   ObsSession obs(ObsOptionsFromFlags(flags));
-  double tl = flags.get_double("tl", 20.0);
+  DiscoveryConfig limit;
+  limit.time_limit_seconds = flags.get_double("tl", 20.0);
   PrintHeader("Ablations (E12)",
               "Each block isolates one design decision the paper credits for "
               "DHyFD's gains.");
@@ -31,8 +32,8 @@ int Main(int argc, char** argv) {
   for (const char* name : {"ncvoter", "bridges", "echo", "hepatitis", "horse",
                            "adult", "letter"}) {
     Relation r = LoadBenchmark(name, flags.get_int("rows", 0));
-    DiscoveryResult classic = Fdep(FdepVariant::kClassic, tl).discover(r);
-    DiscoveryResult synergized = Fdep(FdepVariant::kSorted, tl).discover(r);
+    DiscoveryResult classic = Fdep(FdepVariant::kClassic, limit).discover(r);
+    DiscoveryResult synergized = Fdep(FdepVariant::kSorted, limit).discover(r);
     double speedup = synergized.stats.seconds > 0 && !classic.stats.timed_out
                          ? classic.stats.seconds / synergized.stats.seconds
                          : 0;
@@ -47,8 +48,8 @@ int Main(int argc, char** argv) {
   PrintRule(34);
   for (const char* name : {"ncvoter", "plista", "flight", "horse", "hepatitis"}) {
     Relation r = LoadBenchmark(name, flags.get_int("rows", 0));
-    DiscoveryResult f1 = Fdep(FdepVariant::kNonRedundant, tl).discover(r);
-    DiscoveryResult f2 = Fdep(FdepVariant::kSorted, tl).discover(r);
+    DiscoveryResult f1 = Fdep(FdepVariant::kNonRedundant, limit).discover(r);
+    DiscoveryResult f2 = Fdep(FdepVariant::kSorted, limit).discover(r);
     std::printf("%-11s %10s %10s\n", name, FmtTime(f1.stats).c_str(),
                 FmtTime(f2.stats).c_str());
     std::fflush(stdout);
@@ -61,14 +62,11 @@ int Main(int argc, char** argv) {
   PrintRule(62);
   for (const char* name : {"weather", "diabetic", "uniprot", "lineitem"}) {
     Relation r = LoadBenchmark(name, flags.get_int("rows", 0));
-    DhyfdOptions off;
+    DhyfdOptions ratio3{limit};
+    DhyfdOptions off = ratio3;
     off.enable_ddm = false;
-    off.time_limit_seconds = tl;
-    DhyfdOptions ratio3;
-    ratio3.time_limit_seconds = tl;
-    DhyfdOptions always;
+    DhyfdOptions always = ratio3;
     always.ratio_threshold = 1e-9;
-    always.time_limit_seconds = tl;
     DiscoveryResult r_off = Dhyfd(off).discover(r);
     DiscoveryResult r_3 = Dhyfd(ratio3).discover(r);
     DiscoveryResult r_always = Dhyfd(always).discover(r);
@@ -81,7 +79,7 @@ int Main(int argc, char** argv) {
   std::printf("\n4) classic FD-tree labeling overhead (ncvoter non-FDs)\n");
   {
     Relation r = LoadBenchmark("ncvoter", flags.get_int("rows", 0));
-    DiscoveryResult res = Fdep(FdepVariant::kClassic, tl).discover(r);
+    DiscoveryResult res = Fdep(FdepVariant::kClassic, limit).discover(r);
     // Rebuild the final classic tree to inspect label counts.
     FdTree tree(r.num_cols());
     for (const Fd& fd : res.fds.fds) tree.add(fd.lhs, fd.rhs.first());

@@ -1,10 +1,11 @@
 // Intra-job parallel discovery: threads x dataset scaling grid.
 //
-// For each dataset, runs the hybrid discoverer once sequentially (the
-// baseline) and then at each requested degree with a ThreadPool, reporting
-// wall seconds, speedup over the baseline, and whether the parallel cover
-// is bit-identical to the sequential one (it must be — sharding changes who
-// does the work, never the answer; see DESIGN.md, "Parallel discovery").
+// For each dataset, runs the hybrid discoverer --reps times at each
+// requested degree (the first, normally 1, is the sequential baseline),
+// reporting best-of-reps wall seconds, speedup over the baseline's
+// best-of-reps seconds, and whether every cover is bit-identical to the
+// baseline's (it must be — sharding changes who does the work, never the
+// answer; see DESIGN.md, "Parallel discovery").
 //
 // Acceptance shape: covers identical at every degree (enforced always),
 // and >= --min-speedup at the highest degree on each dataset. The speedup
@@ -21,6 +22,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,7 +36,7 @@ namespace {
 struct Cell {
   int threads = 1;
   double seconds = 0;    // best of --reps runs
-  double speedup = 1.0;  // sequential seconds / this cell's seconds
+  double speedup = 1.0;  // baseline cell's seconds / this cell's seconds
   std::size_t fds = 0;
   std::int64_t validations = 0;
   bool identical = true;  // cover bit-identical to the sequential baseline
@@ -49,9 +51,10 @@ bool SameCover(const FdSet& a, const FdSet& b) {
 }
 
 /// Best-of-reps run at one degree; degree 1 runs without a pool (the true
-/// sequential path, not a one-thread pool).
+/// sequential path, not a one-thread pool). Every rep's cover is checked
+/// against `reference`, which the first rep fills when it is still empty.
 Cell RunCell(const std::string& algo, const Relation& r, int threads,
-             int reps, const DiscoveryResult* baseline) {
+             int reps, std::optional<FdSet>& reference) {
   Cell cell;
   cell.threads = threads;
   ThreadPool pool(threads);
@@ -65,12 +68,8 @@ Cell RunCell(const std::string& algo, const Relation& r, int threads,
     }
     cell.fds = res.fds.fds.size();
     cell.validations = res.stats.validations;
-    if (baseline != nullptr) {
-      cell.identical = cell.identical && SameCover(baseline->fds, res.fds);
-    }
-  }
-  if (baseline != nullptr && cell.seconds > 0) {
-    cell.speedup = baseline->stats.seconds / cell.seconds;
+    if (!reference) reference = res.fds;
+    cell.identical = cell.identical && SameCover(*reference, res.fds);
   }
   return cell;
 }
@@ -118,22 +117,18 @@ int Main(int argc, char** argv) {
   bool speedup_checked = false;
   for (const std::string& dataset : flags.get_list("datasets", {"diabetic"})) {
     Relation r = LoadBenchmark(dataset, rows);
-    DiscoveryResult baseline;
+    // The first cell (threads=1 by default) is the baseline: its cover is
+    // the reference for every cell's check, and every speedup, its own
+    // included, divides its best-of-reps seconds by the cell's.
+    std::optional<FdSet> reference;
     std::vector<Cell> cells;
     int max_degree = 1;
     for (int d : degrees) {
-      if (d <= 1 && cells.empty()) {
-        // Sequential baseline cell: measured like any other, then used as
-        // the reference for every parallel cell's speedup + cover check.
-        auto discovery = MakeDiscovery(algo);
-        baseline = discovery->discover(r);
-        Cell c = RunCell(algo, r, 1, reps, &baseline);
-        baseline.stats.seconds = c.seconds;  // best-of-reps reference
-        cells.push_back(c);
-      } else {
-        cells.push_back(RunCell(algo, r, d, reps, &baseline));
-      }
+      cells.push_back(RunCell(algo, r, d, reps, reference));
       if (d > max_degree) max_degree = d;
+    }
+    for (Cell& c : cells) {
+      if (c.seconds > 0) c.speedup = cells.front().seconds / c.seconds;
     }
     for (const Cell& c : cells) {
       std::printf("%-10s %8d | %9.3f %8.2fx %6zu %12lld %10s\n",

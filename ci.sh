@@ -7,20 +7,20 @@
 #                          header/dot drift gate, and a typo'd-constant smoke
 #                          that must FAIL to compile
 #   3. tier-1            — full -Werror build + every ctest
-#   3. bench             — build-only compile of every bench/ harness
-#   4. tsan              — concurrency tests under ThreadSanitizer, including
+#   4. bench             — build-only compile of every bench/ harness
+#   5. tsan              — concurrency tests under ThreadSanitizer, including
 #                          the net server round-trip + backpressure suite
-#   5. asan              — partition-arena tests, the wire-framing
+#   6. asan              — partition-arena tests, the wire-framing
 #                          negative/fuzz-ish suite (incl. the query payload
 #                          negatives), and the query lattice under ASan
-#   6. ubsan             — bit-twiddling kernels under UBSan (non-recoverable)
-#   7. thread-safety     — Clang Thread Safety Analysis as errors over src/,
+#   7. ubsan             — bit-twiddling kernels under UBSan (non-recoverable)
+#   8. thread-safety     — Clang Thread Safety Analysis as errors over src/,
 #                          plus a seeded mis-annotation that must FAIL to
 #                          compile (skipped with a notice when clang++ is not
 #                          installed; the annotations compile to nothing off
 #                          Clang, so the tree itself is unaffected)
-#   8. obs               — --trace export produces valid Chrome trace JSON
-#   9. tidy (opt-in)     — ./ci.sh --tidy runs clang-tidy over src/ via the
+#   9. obs               — --trace export produces valid Chrome trace JSON
+#  10. tidy (opt-in)     — ./ci.sh --tidy runs clang-tidy over src/ via the
 #                          compile database (needs clang-tidy installed)
 #
 # Usage: ./ci.sh [jobs] [--tidy]
@@ -108,9 +108,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/net_server_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/net_http_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/cost_ledger_test
 # parallel_discovery_test runs the sharded DHyFD/HyFD validators and the
-# lock-sharded partition cache under real concurrency: the parallel ==
+# query engine's full-discovery path under real concurrency: the parallel ==
 # sequential cover equivalence is asserted here with TSan watching the
-# help-first shard claims, the obs-delta relay, and cache pin lifetimes.
+# help-first shard claims and the obs-delta relay.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_discovery_test
 
 echo
@@ -120,10 +120,9 @@ echo "=== asan: partition arena indexing under AddressSanitizer ==="
 # above stay as-is — these kernels are single-threaded.
 cmake -B build-asan -S . -DDHYFD_SANITIZE=address -DDHYFD_WERROR=ON
 cmake --build build-asan -j "$JOBS" --target \
-  partition_test partition_cache_test partition_intersect_test \
+  partition_test partition_intersect_test \
   net_wire_test query_test
 ./build-asan/tests/partition_test
-./build-asan/tests/partition_cache_test
 ./build-asan/tests/partition_intersect_test
 # net_wire_test feeds the frame decoder truncated frames, hostile length
 # prefixes, and random byte soup — exactly the inputs where a missing bounds

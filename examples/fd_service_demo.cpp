@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   ProfileJob limited_job;
   limited_job.dataset = "ncvoter_big";
   limited_job.options.algorithm = "fdep";
-  limited_job.time_limit_seconds = 0.05;
+  limited_job.options.discovery.time_limit_seconds = 0.05;
   JobHandlePtr limited = scheduler.submit(limited_job);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(100));

@@ -18,10 +18,18 @@
 
 namespace dhyfd {
 
+namespace {
+
+/// Neighborhood windows for the one-off initial sampling (paper line 5 of
+/// Algorithm 6: sampling is performed only once).
+constexpr int kInitialSamplingWindows = 3;
+
+}  // namespace
+
 DiscoveryResult Dhyfd::discover(const Relation& r) {
   Timer timer;
   MemoryWatermark mem;
-  Deadline deadline(options_.time_limit_seconds);
+  Deadline deadline(options_.config.time_limit_seconds);
   DiscoveryResult result;
   const int m = r.num_cols();
   const AttributeSet all = AttributeSet::full(m);
@@ -30,8 +38,8 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   // help-first, with the calling thread always participating. Each shard
   // gets its own refiner — the refiners' counting arenas are the only
   // mutable state validation shares.
-  ThreadPool* pool = options_.worker_pool;
-  const int par = pool != nullptr ? std::max(1, options_.parallelism) : 1;
+  ThreadPool* pool = options_.config.pool;
+  const int par = pool != nullptr ? std::max(1, options_.config.threads) : 1;
   std::vector<std::unique_ptr<PartitionRefiner>> shard_refiners;
   for (int i = 0; i < (par > 1 ? par : 0); ++i) {
     shard_refiners.push_back(std::make_unique<PartitionRefiner>(r));
@@ -50,7 +58,7 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   // pair refutes an exact FD, not one allowed `budget` removals), so the
   // sampling phase is skipped and refuted candidates are specialized
   // wholesale through the tree instead of via sampled agree sets.
-  const int64_t budget = ApproxRemovalBudget(options_.epsilon, r.num_rows());
+  const int64_t budget = ApproxRemovalBudget(options_.config.epsilon, r.num_rows());
   const bool approx = budget > 0;
 
   // Lines 5-6: one-off sorted-neighborhood sampling, plus validating the
@@ -59,7 +67,7 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   std::vector<AttributeSet> violations;
   if (!approx) {
     TraceSpan span(kObsDiscoverSampling);
-    violations = sampler.initial(options_.initial_sampling_windows);
+    violations = sampler.initial(kInitialSamplingWindows);
   }
   result.stats.sampled_non_fds = static_cast<int64_t>(violations.size());
   result.stats.pairs_compared += sampler.pairs_compared();
@@ -172,7 +180,7 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   // deeper the tree speculated about is filtered from the collected cover.
   std::vector<std::pair<AttributeSet, AttributeSet>> refuted_fds;
   while (!candidates.empty() && !result.stats.timed_out &&
-         (options_.max_lhs == 0 || vl <= options_.max_lhs)) {
+         (options_.config.max_lhs == 0 || vl <= options_.config.max_lhs)) {
     result.stats.levels = vl;
     violations.clear();
     refuted_fds.clear();
@@ -254,11 +262,11 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
 
   // Line 30.
   result.fds = tree.collect();
-  if (options_.max_lhs > 0) {
+  if (options_.config.max_lhs > 0) {
     // Specializations the tree speculated past the arity bound were never
     // validated; everything at or below the bound was (levels run in order).
     std::erase_if(result.fds.fds, [&](const Fd& fd) {
-      return fd.lhs.count() > options_.max_lhs;
+      return fd.lhs.count() > options_.config.max_lhs;
     });
   }
   result.fds.sort();

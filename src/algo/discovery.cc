@@ -4,58 +4,35 @@
 #include <stdexcept>
 
 #include "algo/agree_sets.h"
-#include "algo/dfd.h"
 #include "algo/dhyfd.h"
 #include "algo/fdep.h"
 #include "algo/hyfd.h"
-#include "algo/rowbased.h"
 #include "algo/tane.h"
 
 namespace dhyfd {
 
 std::unique_ptr<FdDiscovery> MakeDiscovery(const std::string& name,
+                                           const DiscoveryConfig& config) {
+  if (name == "tane") return std::make_unique<Tane>(config);
+  if (name == "fdep") return std::make_unique<Fdep>(FdepVariant::kClassic, config);
+  if (name == "fdep1") {
+    return std::make_unique<Fdep>(FdepVariant::kNonRedundant, config);
+  }
+  if (name == "fdep2") return std::make_unique<Fdep>(FdepVariant::kSorted, config);
+  if (name == "hyfd") return std::make_unique<Hyfd>(HyfdOptions{config});
+  if (name == "dhyfd") return std::make_unique<Dhyfd>(DhyfdOptions{config});
+  throw std::invalid_argument("unknown discovery algorithm: " + name);
+}
+
+std::unique_ptr<FdDiscovery> MakeDiscovery(const std::string& name,
                                            double time_limit_seconds,
                                            int parallelism,
                                            ThreadPool* worker_pool) {
-  if (name == "tane") {
-    TaneOptions opt;
-    opt.time_limit_seconds = time_limit_seconds;
-    return std::make_unique<Tane>(opt);
-  }
-  if (name == "fdep") {
-    return std::make_unique<Fdep>(FdepVariant::kClassic, time_limit_seconds);
-  }
-  if (name == "fdep1") {
-    return std::make_unique<Fdep>(FdepVariant::kNonRedundant, time_limit_seconds);
-  }
-  if (name == "fdep2") {
-    return std::make_unique<Fdep>(FdepVariant::kSorted, time_limit_seconds);
-  }
-  if (name == "hyfd") {
-    HyfdOptions opt;
-    opt.time_limit_seconds = time_limit_seconds;
-    opt.parallelism = parallelism;
-    opt.worker_pool = worker_pool;
-    return std::make_unique<Hyfd>(opt);
-  }
-  if (name == "dhyfd") {
-    DhyfdOptions opt;
-    opt.time_limit_seconds = time_limit_seconds;
-    opt.parallelism = parallelism;
-    opt.worker_pool = worker_pool;
-    return std::make_unique<Dhyfd>(opt);
-  }
-  // Extra baselines beyond the paper's Table II line-up.
-  if (name == "dfd") return std::make_unique<Dfd>(time_limit_seconds);
-  if (name == "fastfds") {
-    return std::make_unique<RowBasedTransversal>(RowBasedVariant::kFastFds,
-                                                 time_limit_seconds);
-  }
-  if (name == "depminer") {
-    return std::make_unique<RowBasedTransversal>(RowBasedVariant::kDepMiner,
-                                                 time_limit_seconds);
-  }
-  throw std::invalid_argument("unknown discovery algorithm: " + name);
+  DiscoveryConfig config;
+  config.time_limit_seconds = time_limit_seconds;
+  config.threads = parallelism;
+  config.pool = worker_pool;
+  return MakeDiscovery(name, config);
 }
 
 const std::vector<std::string>& AllDiscoveryNames() {

@@ -13,6 +13,38 @@ namespace dhyfd {
 
 class ThreadPool;
 
+/// The discovery settings every layer shares: arity, error threshold,
+/// deadline and threads (the surface Desbordante exposes for its FD
+/// algorithms). Whoever owns a request fills one config in — a library
+/// caller, the query engine from a DiscoveryQuery, the scheduler from a job —
+/// and it is passed down unchanged. Algorithms read the fields they support
+/// and ignore the rest:
+///
+///   max_lhs, epsilon     TANE and DHyFD
+///   time_limit_seconds   every algorithm
+///   threads, pool        HyFD and DHyFD
+struct DiscoveryConfig {
+  /// Precise LHS arity bound (0 = unbounded): every FD with at most max_lhs
+  /// LHS attributes is validated and emitted, nothing larger is explored, so
+  /// the output is exactly the full cover filtered to |LHS| <= max_lhs.
+  int max_lhs = 0;
+  /// Error threshold for approximate FDs: a candidate X -> A holds when its
+  /// g3 removal count stays within floor(epsilon * |r|) (see
+  /// ApproxErrorCalculator). 0 runs the exact test.
+  double epsilon = 0;
+  /// Cooperative deadline in seconds (0 = none); on expiry the run stops
+  /// with stats.timed_out set, mirroring the paper's TL entries.
+  double time_limit_seconds = 0;
+  /// Threads used within one run, including the calling thread (<= 1 =
+  /// sequential). Effective only with a pool; parallel runs return covers
+  /// bit-identical to sequential ones (DESIGN.md, "Parallel discovery").
+  int threads = 1;
+  /// Pool the validation/sampling/DDM shards fan out over. Not owned; may be
+  /// shared with other jobs (shards are claimed help-first, so a busy pool
+  /// degrades to sequential instead of deadlocking).
+  ThreadPool* pool = nullptr;
+};
+
 /// Run statistics shared by every discovery algorithm; these back the
 /// paper's Table II (time, memory) and the scalability figures.
 struct DiscoveryStats {
@@ -47,11 +79,12 @@ class FdDiscovery {
 };
 
 /// Names accepted by MakeDiscovery: "tane", "fdep", "fdep1", "fdep2",
-/// "hyfd", "dhyfd", plus the extra row-based baselines "fastfds" and
-/// "depminer". time_limit_seconds > 0 sets a cooperative deadline.
-/// parallelism > 1 with a worker_pool shards the hybrid algorithms (hyfd,
-/// dhyfd) over the pool; other algorithms ignore it. Parallel runs return
-/// bit-identical covers to sequential ones.
+/// "hyfd", "dhyfd" (AllDiscoveryNames()); any other name throws
+/// std::invalid_argument.
+std::unique_ptr<FdDiscovery> MakeDiscovery(const std::string& name,
+                                           const DiscoveryConfig& config);
+
+/// Positional shorthand for a config with only the deadline and threads set.
 std::unique_ptr<FdDiscovery> MakeDiscovery(const std::string& name,
                                            double time_limit_seconds = 0,
                                            int parallelism = 1,

@@ -25,7 +25,7 @@ std::string Fdep::name() const {
 DiscoveryResult Fdep::discover(const Relation& r) {
   Timer timer;
   MemoryWatermark mem;
-  Deadline deadline(time_limit_seconds_);
+  Deadline deadline(config_.time_limit_seconds);
   DiscoveryResult result;
   const int m = r.num_cols();
   const AttributeSet all = AttributeSet::full(m);

@@ -22,16 +22,17 @@ enum class FdepVariant {
 /// pairs. Exact but O(rows^2); the paper's row-scalability baseline.
 class Fdep : public FdDiscovery {
  public:
-  /// time_limit_seconds > 0 sets a cooperative deadline (paper's TL).
+  /// Reads only config.time_limit_seconds (the paper's TL); the run is
+  /// single-threaded and exact.
   explicit Fdep(FdepVariant variant = FdepVariant::kSorted,
-                double time_limit_seconds = 0)
-      : variant_(variant), time_limit_seconds_(time_limit_seconds) {}
+                DiscoveryConfig config = {})
+      : variant_(variant), config_(config) {}
   std::string name() const override;
   DiscoveryResult discover(const Relation& r) override;
 
  private:
   FdepVariant variant_;
-  double time_limit_seconds_;
+  DiscoveryConfig config_;
 };
 
 }  // namespace dhyfd

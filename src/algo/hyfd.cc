@@ -18,16 +18,25 @@
 
 namespace dhyfd {
 
+namespace {
+
+/// A sampling phase stops once (new non-FDs / comparisons) drops below this.
+constexpr double kSamplingEfficiencyThreshold = 0.01;
+/// Cap on sampling window growth per sampling phase.
+constexpr int kMaxWindowsPerPhase = 4;
+
+}  // namespace
+
 DiscoveryResult Hyfd::discover(const Relation& r) {
   Timer timer;
   MemoryWatermark mem;
-  Deadline deadline(options_.time_limit_seconds);
+  Deadline deadline(options_.config.time_limit_seconds);
   DiscoveryResult result;
   const int m = r.num_cols();
   const AttributeSet all = AttributeSet::full(m);
 
-  ThreadPool* pool = options_.worker_pool;
-  const int par = pool != nullptr ? std::max(1, options_.parallelism) : 1;
+  ThreadPool* pool = options_.config.pool;
+  const int par = pool != nullptr ? std::max(1, options_.config.threads) : 1;
   std::vector<std::unique_ptr<PartitionRefiner>> shard_refiners;
   for (int i = 0; i < (par > 1 ? par : 0); ++i) {
     shard_refiners.push_back(std::make_unique<PartitionRefiner>(r));
@@ -63,11 +72,11 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
 
   auto sampling_phase = [&]() {
     TraceSpan span(kObsDiscoverSampling);
-    for (int i = 0; i < options_.max_windows_per_phase; ++i) {
+    for (int i = 0; i < kMaxWindowsPerPhase; ++i) {
       std::vector<AttributeSet> fresh = sampler.run(sampler.window() + 1);
       result.stats.sampled_non_fds += static_cast<int64_t>(fresh.size());
       induct_sorted(std::move(fresh));
-      if (sampler.last_efficiency() < options_.sampling_efficiency_threshold) break;
+      if (sampler.last_efficiency() < kSamplingEfficiencyThreshold) break;
     }
   };
 

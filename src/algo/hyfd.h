@@ -5,24 +5,13 @@
 
 namespace dhyfd {
 
-class ThreadPool;
-
 struct HyfdOptions {
-  /// Sampling runs stop once (new non-FDs / comparisons) drops below this.
-  double sampling_efficiency_threshold = 0.01;
+  /// Reads time_limit_seconds, threads and pool; max_lhs and epsilon are
+  /// ignored (HyFD discovers the exact, unbounded cover).
+  DiscoveryConfig config;
   /// After a validation level invalidates more than this fraction of its
   /// candidates, HyFD switches back to the sampling phase.
   double validation_switch_threshold = 0.2;
-  /// Cap on sampling window growth per sampling phase.
-  int max_windows_per_phase = 4;
-  /// Cooperative deadline in seconds (0 = none).
-  double time_limit_seconds = 0;
-  /// Threads used within this run, including the calling thread (<= 1 =
-  /// sequential). Effective only with a worker_pool; the cover is
-  /// bit-identical to the sequential one at any degree.
-  int parallelism = 1;
-  /// Pool to fan validation/sampling shards out over (not owned).
-  ThreadPool* worker_pool = nullptr;
 };
 
 /// HyFD (Papenbrock & Naumann 2016): the sampling-focused hybrid baseline.

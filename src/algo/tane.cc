@@ -64,7 +64,7 @@ class CplusStore {
 DiscoveryResult Tane::discover(const Relation& r) {
   Timer timer;
   MemoryWatermark mem;
-  Deadline deadline(options_.time_limit_seconds);
+  Deadline deadline(config_.time_limit_seconds);
   DiscoveryResult result;
   const int m = r.num_cols();
   const int64_t empty_error = r.num_rows() > 0 ? r.num_rows() - 1 : 0;
@@ -72,7 +72,7 @@ DiscoveryResult Tane::discover(const Relation& r) {
   // Approximate mode: candidates hold while their g3 removal count stays
   // within the budget. budget == 0 keeps the exact error-comparison test
   // (and skips the prev-level partition retention it would need).
-  const int64_t budget = ApproxRemovalBudget(options_.epsilon, r.num_rows());
+  const int64_t budget = ApproxRemovalBudget(config_.epsilon, r.num_rows());
   const bool approx = budget > 0;
   ApproxErrorCalculator approx_calc(r);
 
@@ -168,7 +168,7 @@ DiscoveryResult Tane::discover(const Relation& r) {
     // Key-rule FDs have an LHS of exactly level_num attributes, so the
     // precise arity bound suppresses them on its one extra level.
     const bool emit_key_fds =
-        options_.max_lhs == 0 || level_num <= options_.max_lhs;
+        config_.max_lhs == 0 || level_num <= config_.max_lhs;
     Level pruned;
     LevelIndex pruned_index;
     for (LevelEntry& e : level) {
@@ -201,11 +201,10 @@ DiscoveryResult Tane::discover(const Relation& r) {
       pruned.push_back(std::move(e));
     }
 
-    if (options_.max_level > 0 && level_num >= options_.max_level) break;
     // The precise arity bound stops after the level that validates LHSs of
     // exactly max_lhs attributes (level max_lhs + 1), so the cover below the
     // bound is complete.
-    if (options_.max_lhs > 0 && level_num > options_.max_lhs) break;
+    if (config_.max_lhs > 0 && level_num > config_.max_lhs) break;
 
     // generate_next_level via prefix blocks: combine entries that share all
     // attributes except their largest one.

@@ -1,5 +1,6 @@
 #include "core/profiler.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "obs/obs.h"
@@ -29,6 +30,15 @@ const char* ProfileStageName(ProfileStage stage) {
   return "?";
 }
 
+std::string DescribeProfileError(const ProfileOptions& options) {
+  if (options.discovery_override) return "";
+  const std::vector<std::string>& names = AllDiscoveryNames();
+  if (std::find(names.begin(), names.end(), options.algorithm) == names.end()) {
+    return "unknown discovery algorithm: " + options.algorithm;
+  }
+  return "";
+}
+
 ProfileReport Profiler::profile(const RawTable& table) const {
   Timer timer;
   EncodedRelation encoded;
@@ -56,8 +66,7 @@ ProfileReport Profiler::profile(const Relation& relation) const {
     report.discovery = options_.discovery_override(relation, options_);
   } else {
     std::unique_ptr<FdDiscovery> algo =
-        MakeDiscovery(options_.algorithm, options_.time_limit_seconds,
-                      options_.parallelism, options_.worker_pool);
+        MakeDiscovery(options_.algorithm, options_.discovery);
     TraceSpan span(kObsProfileDiscover);
     report.discovery = algo->discover(relation);
   }

@@ -29,20 +29,14 @@ struct ProfileOptions {
   /// Rank the (canonical) cover by data redundancy (Section VI).
   bool compute_ranking = true;
   RedundancyMode ranking_mode = RedundancyMode::kExcludingNullRhs;
-  /// Cooperative deadline for the discovery stage in seconds (0 = none),
-  /// wired into util/deadline.h exactly like the paper's TL budget.
-  double time_limit_seconds = 0;
-  /// Threads used inside the discovery stage, including the calling thread
-  /// (<= 1 = sequential). Effective only with worker_pool set; parallel
-  /// runs return bit-identical covers to sequential ones.
-  int parallelism = 1;
-  /// Worker pool the discovery shards fan out over (not owned; may be
-  /// shared with other jobs). The JobScheduler sets this for service jobs;
-  /// library callers may pass their own pool.
-  ThreadPool* worker_pool = nullptr;
+  /// Settings for the discovery stage: deadline (the paper's TL), threads
+  /// and pool, arity and error bounds. The JobScheduler sets the pool and
+  /// clamps the threads for service jobs; library callers may pass their
+  /// own pool.
+  DiscoveryConfig discovery;
   /// When set, replaces the discovery stage wholesale: the hook receives
   /// the relation plus these options (after the service layer's
-  /// parallelism/worker_pool adjustments) and must return the cover and
+  /// adjustments to `discovery`) and must return the cover and
   /// stats the rest of the pipeline consumes. This is how upper layers
   /// inject richer discovery without core depending on them — the query
   /// layer's BindQueryToProfile (src/query/profile_query.h) installs an
@@ -54,6 +48,13 @@ struct ProfileOptions {
   /// layer uses this to feed per-stage latency histograms.
   std::function<void(ProfileStage, double seconds)> stage_hook;
 };
+
+/// Validates the options a client controls; returns "" when they can run,
+/// else a one-line reason. Today that is the algorithm name: it must be one
+/// of AllDiscoveryNames() unless discovery_override replaces the stage.
+/// The net front end calls this before queueing a job, so a bad name is a
+/// client error, not a failed job.
+std::string DescribeProfileError(const ProfileOptions& options);
 
 /// Wall-clock seconds spent in each pipeline stage. encode_seconds is only
 /// nonzero for the RawTable overload (an already-encoded Relation skips it).

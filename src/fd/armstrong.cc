@@ -4,8 +4,8 @@
 #include <bit>
 #include <stdexcept>
 
-#include "algo/hitting_set.h"
 #include "fd/closure.h"
+#include "fd/hitting_set.h"
 
 namespace dhyfd {
 

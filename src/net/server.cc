@@ -621,6 +621,30 @@ void ProfilingServer::handle_submit_discovery(Connection& c,
                                               const TraceContext& ctx) {
   WireReader r(frame.payload);
   SubmitDiscoveryMsg msg = SubmitDiscoveryMsg::decode(r, c.protocol_version);
+  ProfileJob job;
+  job.dataset = msg.dataset;
+  job.options.algorithm = msg.algorithm;
+  job.options.semantics = SemanticsFromWire(msg.semantics);
+  job.priority = msg.priority;
+  // The request deadline becomes the job's cooperative time limit: the
+  // discovery loops poll it via util/deadline.h and stop past-due work
+  // instead of burning a worker on an answer nobody is waiting for.
+  job.options.discovery.time_limit_seconds = msg.deadline_ms / 1000.0;
+  // v4 parallelism request: a hostile degree is harmless — the scheduler
+  // clamps to its pool size — but bound it anyway so the int cast is safe.
+  job.options.discovery.threads = static_cast<int>(
+      std::max<std::uint32_t>(1, std::min<std::uint32_t>(msg.parallelism,
+                                                         1u << 10)));
+  // Client-stamped trace context rides into the scheduler: svc.queue_wait
+  // and svc.job.run land in the same causal tree as the client's call span.
+  job.trace_id = ctx.trace_id;
+  // An unknown algorithm is the client's mistake: answer it here, like a
+  // hostile query spec, instead of queueing a job that can only fail.
+  std::string options_error = DescribeProfileError(job.options);
+  if (!options_error.empty()) {
+    send_error(c, frame.request_id, ErrCode::kBadRequest, options_error);
+    return;
+  }
   RpcFinish reject;
   reject.rtype = "submit_discovery";
   reject.outcome = "rejected";
@@ -634,23 +658,6 @@ void ProfilingServer::handle_submit_discovery(Connection& c,
                    ")");
     return;
   }
-  ProfileJob job;
-  job.dataset = msg.dataset;
-  job.options.algorithm = msg.algorithm;
-  job.options.semantics = SemanticsFromWire(msg.semantics);
-  job.priority = msg.priority;
-  // The request deadline becomes the job's cooperative time limit: the
-  // discovery loops poll it via util/deadline.h and stop past-due work
-  // instead of burning a worker on an answer nobody is waiting for.
-  job.time_limit_seconds = msg.deadline_ms / 1000.0;
-  // v4 parallelism request: a hostile degree is harmless — the scheduler
-  // clamps to its pool size — but bound it anyway so the int cast is safe.
-  job.options.parallelism = static_cast<int>(
-      std::max<std::uint32_t>(1, std::min<std::uint32_t>(msg.parallelism,
-                                                         1u << 10)));
-  // Client-stamped trace context rides into the scheduler: svc.queue_wait
-  // and svc.job.run land in the same causal tree as the client's call span.
-  job.trace_id = ctx.trace_id;
   JobHandlePtr handle = scheduler_->submit(std::move(job));
   if (handle->rejected()) {
     c.inflight.release();
@@ -723,8 +730,8 @@ void ProfilingServer::handle_submit_query(Connection& c, const Frame& frame,
   job.options.compute_canonical = false;
   job.options.compute_ranking = false;
   job.priority = msg.priority;
-  job.time_limit_seconds = msg.deadline_ms / 1000.0;
-  job.options.parallelism = static_cast<int>(
+  job.options.discovery.time_limit_seconds = msg.deadline_ms / 1000.0;
+  job.options.discovery.threads = static_cast<int>(
       std::max<std::uint32_t>(1, std::min<std::uint32_t>(msg.parallelism,
                                                          1u << 10)));
   job.trace_id = ctx.trace_id;

@@ -37,14 +37,10 @@ std::vector<AttrId> ActiveColumns(const Relation& r, const DiscoveryQuery& q) {
 /// whole cover scored and sorted — discovery-then-rank, but already pruned
 /// by epsilon and arity.
 QueryResult FullDiscoverRanked(const Relation& r, const DiscoveryQuery& q,
-                               const QueryEngineOptions& engine_options) {
-  DhyfdOptions opts;
-  opts.epsilon = q.epsilon;
-  opts.max_lhs = q.max_lhs;
-  opts.time_limit_seconds = engine_options.time_limit_seconds;
-  opts.parallelism = engine_options.parallelism;
-  opts.worker_pool = engine_options.worker_pool;
-  DiscoveryResult discovered = Dhyfd(opts).discover(r);
+                               DiscoveryConfig config) {
+  config.epsilon = q.epsilon;
+  config.max_lhs = q.max_lhs;
+  DiscoveryResult discovered = Dhyfd(DhyfdOptions{config}).discover(r);
 
   QueryResult result;
   result.stats.validations = discovered.stats.validations;
@@ -101,8 +97,8 @@ QueryResult QueryEngine::execute(const Relation& r,
   }
 
   QueryResult result =
-      q.top_k > 0 ? TopKDiscover(*target, q, options_.time_limit_seconds)
-                  : FullDiscoverRanked(*target, q, options_);
+      q.top_k > 0 ? TopKDiscover(*target, q, config_.time_limit_seconds)
+                  : FullDiscoverRanked(*target, q, config_);
 
   if (projected) {
     // Map attribute ids from projection positions back to the schema.

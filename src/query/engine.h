@@ -1,24 +1,11 @@
 #ifndef DHYFD_QUERY_ENGINE_H_
 #define DHYFD_QUERY_ENGINE_H_
 
+#include "algo/discovery.h"
 #include "query/query.h"
 #include "relation/relation.h"
 
 namespace dhyfd {
-
-class ThreadPool;
-
-struct QueryEngineOptions {
-  /// Cooperative deadline in seconds (0 = none); expiry sets
-  /// stats.timed_out and the result is partial.
-  double time_limit_seconds = 0;
-  /// Threads used by the full-discovery path (DHyFD), including the calling
-  /// thread; the ranked answer is bit-identical at any degree. The top-k
-  /// lattice walk is sequential and ignores this.
-  int parallelism = 1;
-  /// Pool the discovery shards fan out over (not owned).
-  ThreadPool* worker_pool = nullptr;
-};
 
 /// Executes DiscoveryQuery specs. Routing:
 ///
@@ -30,16 +17,21 @@ struct QueryEngineOptions {
 /// exactly the DHyFD cover in rank order. Column include/exclude scopes run
 /// discovery on a projected copy of the relation; result attribute ids are
 /// mapped back to the original schema.
+///
+/// The engine's config supplies the deadline and, for the full-discovery
+/// path, the threads and pool (the ranked answer is bit-identical at any
+/// degree; the top-k lattice walk is sequential and ignores them). Each
+/// query's own epsilon and max_lhs replace the config's.
 class QueryEngine {
  public:
-  explicit QueryEngine(QueryEngineOptions options = {}) : options_(options) {}
+  explicit QueryEngine(DiscoveryConfig config = {}) : config_(config) {}
 
   /// Throws std::invalid_argument when DescribeQueryError rejects the spec
   /// against r's schema.
   QueryResult execute(const Relation& r, const DiscoveryQuery& q) const;
 
  private:
-  QueryEngineOptions options_;
+  DiscoveryConfig config_;
 };
 
 /// Copies the given columns (in the given order) into a standalone relation;

@@ -13,13 +13,9 @@ std::shared_ptr<QueryResultSlot> BindQueryToProfile(ProfileOptions& options,
       [slot, query = std::move(query)](
           const Relation& relation,
           const ProfileOptions& opts) -> DiscoveryResult {
-    // Engine limits come from the options at profile() time, after the
-    // service layer's parallelism clamp and pool injection.
-    QueryEngineOptions engine_options;
-    engine_options.time_limit_seconds = opts.time_limit_seconds;
-    engine_options.parallelism = opts.parallelism;
-    engine_options.worker_pool = opts.worker_pool;
-    slot->result = QueryEngine(engine_options).execute(relation, query);
+    // The engine runs under the options' config as of profile() time,
+    // after the service layer's deadline, thread clamp and pool injection.
+    slot->result = QueryEngine(opts.discovery).execute(relation, query);
 
     // Surface the query answer through the generic discovery fields so
     // cover and ranking consumers work unchanged.

@@ -21,8 +21,8 @@ struct QueryResultSlot {
 /// Routes `options`' discovery stage through the rank-driven query engine
 /// (approximate thresholds, arity bounds, top-k early termination), keeping
 /// core free of any query dependency: this installs a
-/// ProfileOptions::discovery_override closure that runs QueryEngine with the
-/// options' deadline/parallelism/pool, surfaces the result's cover and stats
+/// ProfileOptions::discovery_override closure that runs QueryEngine under the
+/// options' DiscoveryConfig, surfaces the result's cover and stats
 /// through the generic DiscoveryResult fields, and stores the full
 /// QueryResult (scores, pruning stats) in the returned slot.
 ///

@@ -21,9 +21,6 @@ struct ProfileJob {
   ProfileOptions options;
   /// Higher-priority jobs run first; ties run in submission order.
   int priority = 0;
-  /// Per-job cooperative time limit in seconds (0 = none). Overrides
-  /// options.time_limit_seconds when positive.
-  double time_limit_seconds = 0;
   /// Trace id to adopt for this job's span tree (0 = let the scheduler mint
   /// one when tracing is on). Set by the server from the client-stamped
   /// kTracedRequest context so client and server spans share one tree.

@@ -154,17 +154,14 @@ void JobScheduler::run_one() {
 
 void JobScheduler::execute(const JobHandlePtr& handle) {
   ProfileOptions options = handle->job_.options;
-  if (handle->job_.time_limit_seconds > 0) {
-    options.time_limit_seconds = handle->job_.time_limit_seconds;
-  }
   // Intra-job parallelism: this job's discovery shards fan out over the
   // same pool that runs the jobs. Degree is clamped to the pool size; the
   // slot accounting lives in ThreadPool::run_shards, which enlists only
   // idle workers — an N-way job on a busy pool degrades toward sequential
   // instead of oversubscribing.
-  options.worker_pool = &pool_;
-  options.parallelism =
-      std::max(1, std::min(options.parallelism, pool_.num_threads()));
+  options.discovery.pool = &pool_;
+  options.discovery.threads =
+      std::max(1, std::min(options.discovery.threads, pool_.num_threads()));
   std::function<void(ProfileStage, double)> user_hook = options.stage_hook;
   options.stage_hook = [this, &user_hook](ProfileStage stage, double seconds) {
     metrics_

@@ -234,6 +234,29 @@ TEST(NetServerTest, HostileQuerySpecGetsBadRequestNotDisconnect) {
   EXPECT_EQ(client.submit_query(good).state, "done");
 }
 
+TEST(NetServerTest, UnknownAlgorithmGetsBadRequestBeforeQueueing) {
+  Stack stack;
+  BlockingClient client = stack.connect();
+  client.register_dataset("aba", DemoCsv(), /*live=*/false);
+
+  // "dfd" is not one of the paper's algorithms: as unknown as any typo.
+  SubmitDiscoveryMsg submit;
+  submit.dataset = "aba";
+  submit.algorithm = "dfd";
+  try {
+    client.submit_discovery(submit);
+    FAIL() << "expected RpcError";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.code(), ErrCode::kBadRequest);
+  }
+  // Rejected at the front end: no job was queued for it.
+  EXPECT_EQ(stack.metrics.counter("jobs.submitted").value(), 0);
+
+  // The same connection still answers a valid request.
+  submit.algorithm = "dhyfd";
+  EXPECT_EQ(client.submit_discovery(submit).state, "done");
+}
+
 TEST(NetServerTest, V1ClientIsRejectedCleanlyOnSubmitQuery) {
   Stack stack;
   Socket s = ConnectTcp("127.0.0.1", stack.server->port());

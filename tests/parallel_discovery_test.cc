@@ -2,9 +2,9 @@
 // return bit-identical covers (same FDs, same order) to their sequential
 // counterparts at every degree, across the same randomized sweep the
 // cross-algorithm property tests use — including the approximate (epsilon >
-// 0), arity-bounded, and query-engine paths. Also hammers the lock-sharded
-// PartitionCache with concurrent readers; this binary runs under the TSan
-// CI leg, so the determinism claims are checked race-free, not just equal.
+// 0), arity-bounded, and query-engine paths. This binary runs under the
+// TSan CI leg, so the determinism claims are checked race-free, not just
+// equal.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,7 +15,6 @@
 #include "algo/dhyfd.h"
 #include "algo/hyfd.h"
 #include "fd/cover.h"
-#include "partition/partition_cache.h"
 #include "query/engine.h"
 #include "test_util.h"
 #include "util/thread_pool.h"
@@ -61,13 +60,13 @@ class ParallelEquivalenceSweep
 TEST_P(ParallelEquivalenceSweep, DhyfdParallelEqualsSequential) {
   const auto& [degree, c] = GetParam();
   Relation r = RandomRelation(c.seed, c.rows, c.cols, c.domain, c.null_rate);
-  DiscoveryResult sequential = Dhyfd(DhyfdOptions{}).discover(r);
+  DiscoveryResult sequential = Dhyfd().discover(r);
 
   ThreadPool pool(degree);
-  DhyfdOptions opt;
-  opt.parallelism = degree;
-  opt.worker_pool = &pool;
-  DiscoveryResult parallel = Dhyfd(opt).discover(r);
+  DiscoveryConfig config;
+  config.threads = degree;
+  config.pool = &pool;
+  DiscoveryResult parallel = Dhyfd({config}).discover(r);
 
   ExpectIdenticalCovers(sequential.fds, parallel.fds,
                         "dhyfd p=" + std::to_string(degree) + " seed=" +
@@ -81,13 +80,13 @@ TEST_P(ParallelEquivalenceSweep, DhyfdParallelEqualsSequential) {
 TEST_P(ParallelEquivalenceSweep, HyfdParallelEqualsSequential) {
   const auto& [degree, c] = GetParam();
   Relation r = RandomRelation(c.seed, c.rows, c.cols, c.domain, c.null_rate);
-  DiscoveryResult sequential = Hyfd(HyfdOptions{}).discover(r);
+  DiscoveryResult sequential = Hyfd().discover(r);
 
   ThreadPool pool(degree);
-  HyfdOptions opt;
-  opt.parallelism = degree;
-  opt.worker_pool = &pool;
-  DiscoveryResult parallel = Hyfd(opt).discover(r);
+  DiscoveryConfig config;
+  config.threads = degree;
+  config.pool = &pool;
+  DiscoveryResult parallel = Hyfd({config}).discover(r);
 
   ExpectIdenticalCovers(sequential.fds, parallel.fds,
                         "hyfd p=" + std::to_string(degree) + " seed=" +
@@ -104,14 +103,14 @@ TEST_P(ParallelEquivalenceSweep, ApproximateAndBoundedPathsMatch) {
   // so each must stay shard-order invariant on its own.
   for (double epsilon : {0.0, 0.1}) {
     for (int max_lhs : {0, 2}) {
-      DhyfdOptions seq;
+      DiscoveryConfig seq;
       seq.epsilon = epsilon;
       seq.max_lhs = max_lhs;
-      DhyfdOptions par = seq;
-      par.parallelism = degree;
-      par.worker_pool = &pool;
-      DiscoveryResult a = Dhyfd(seq).discover(r);
-      DiscoveryResult b = Dhyfd(par).discover(r);
+      DiscoveryConfig par = seq;
+      par.threads = degree;
+      par.pool = &pool;
+      DiscoveryResult a = Dhyfd({seq}).discover(r);
+      DiscoveryResult b = Dhyfd({par}).discover(r);
       ExpectIdenticalCovers(
           a.fds, b.fds,
           "dhyfd eps=" + std::to_string(epsilon) + " max_lhs=" +
@@ -134,10 +133,10 @@ TEST(ParallelQueryTest, RankedAnswerIdenticalAtAnyDegree) {
   QueryResult sequential = QueryEngine().execute(r, DiscoveryQuery{});
 
   ThreadPool pool(4);
-  QueryEngineOptions opt;
-  opt.parallelism = 4;
-  opt.worker_pool = &pool;
-  QueryResult parallel = QueryEngine(opt).execute(r, DiscoveryQuery{});
+  DiscoveryConfig config;
+  config.threads = 4;
+  config.pool = &pool;
+  QueryResult parallel = QueryEngine(config).execute(r, DiscoveryQuery{});
 
   ASSERT_EQ(sequential.fds.size(), parallel.fds.size());
   for (std::size_t i = 0; i < sequential.fds.size(); ++i) {
@@ -154,10 +153,10 @@ TEST(ParallelQueryTest, EpsilonQueryIdenticalAtAnyDegree) {
   QueryResult sequential = QueryEngine().execute(r, q);
 
   ThreadPool pool(3);
-  QueryEngineOptions opt;
-  opt.parallelism = 3;
-  opt.worker_pool = &pool;
-  QueryResult parallel = QueryEngine(opt).execute(r, q);
+  DiscoveryConfig config;
+  config.threads = 3;
+  config.pool = &pool;
+  QueryResult parallel = QueryEngine(config).execute(r, q);
 
   ASSERT_EQ(sequential.fds.size(), parallel.fds.size());
   for (std::size_t i = 0; i < sequential.fds.size(); ++i) {
@@ -174,85 +173,16 @@ TEST(ParallelQueryTest, TopKPathIgnoresParallelismButStillMatches) {
   QueryResult sequential = QueryEngine().execute(r, q);
 
   ThreadPool pool(4);
-  QueryEngineOptions opt;
-  opt.parallelism = 4;
-  opt.worker_pool = &pool;
-  QueryResult parallel = QueryEngine(opt).execute(r, q);
+  DiscoveryConfig config;
+  config.threads = 4;
+  config.pool = &pool;
+  QueryResult parallel = QueryEngine(config).execute(r, q);
 
   ASSERT_EQ(sequential.fds.size(), parallel.fds.size());
   for (std::size_t i = 0; i < sequential.fds.size(); ++i) {
     EXPECT_TRUE(sequential.fds[i].fd == parallel.fds[i].fd) << i;
   }
   EXPECT_EQ(pool.tasks_executed(), 0);
-}
-
-// ------------------------------------------------- concurrent cache readers
-
-TEST(ConcurrentPartitionCacheTest, ParallelImpliesMatchesSequential) {
-  Relation r = RandomRelation(13, 150, 6, 3, 0.1);
-  // Deterministic query mix: every 2-attribute LHS against every RHS.
-  std::vector<std::pair<AttributeSet, AttrId>> queries;
-  for (AttrId a = 0; a < 6; ++a) {
-    for (AttrId b = 0; b < 6; ++b) {
-      if (a == b) continue;
-      AttributeSet x;
-      x.set(a);
-      x.set(b);
-      for (AttrId rhs = 0; rhs < 6; ++rhs) {
-        if (!x.test(rhs)) queries.emplace_back(x, rhs);
-      }
-    }
-  }
-  std::vector<char> expected(queries.size());
-  {
-    PartitionCache baseline(r);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      expected[i] = baseline.implies(queries[i].first, queries[i].second);
-    }
-  }
-  // A tiny budget forces eviction churn while readers race; answers must
-  // not change (evicted partitions are rebuilt, never corrupted).
-  PartitionCache cache(r, /*max_entries=*/16, /*max_bytes=*/1 << 14);
-  ThreadPool pool(4);
-  std::vector<char> got(queries.size());
-  pool.parallel_for(queries.size(), 4,
-                    [&](std::size_t, std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        got[i] = cache.implies(queries[i].first,
-                                               queries[i].second);
-                      }
-                    });
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "query " << i;
-  }
-  EXPECT_GT(cache.evictions(), 0);
-}
-
-TEST(ConcurrentPartitionCacheTest, PinsSurviveEvictionUnderConcurrency) {
-  Relation r = RandomRelation(17, 100, 6, 2, 0.0);
-  PartitionCache cache(r, /*max_entries=*/4, /*max_bytes=*/1 << 12);
-  AttributeSet pinned_set;
-  pinned_set.set(0);
-  pinned_set.set(1);
-  PartitionPin pin = cache.get(pinned_set);
-  const int64_t support_before = pin->support();
-  const int64_t clusters_before = pin->size();
-
-  // Concurrently churn the cache far past its budget.
-  ThreadPool pool(4);
-  pool.parallel_for(64, 4, [&](std::size_t, std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      AttributeSet x;
-      x.set(static_cast<AttrId>(i % 6));
-      x.set(static_cast<AttrId>((i / 6 + 1 + i % 5) % 6));
-      if (x.count() < 2) x.set(static_cast<AttrId>((i + 3) % 6));
-      cache.get(x);
-    }
-  });
-  EXPECT_GT(cache.evictions(), 0);
-  // The pin still reads the same immutable partition, evicted or not.
-  EXPECT_EQ(pin->support(), support_before);
-  EXPECT_EQ(pin->size(), clusters_before);
 }
 
 }  // namespace

@@ -148,12 +148,10 @@ TEST(QueryEngineTest, EpsilonAgreesAcrossAlgorithms) {
   for (int seed : {3, 11, 29}) {
     Relation r = RandomRelation(seed, 60, 4, 3, 0.1);
     for (double eps : {0.05, 0.2}) {
-      TaneOptions topt;
-      topt.epsilon = eps;
-      DhyfdOptions dopt;
-      dopt.epsilon = eps;
-      FdSet tane_cover = Tane(topt).discover(r).fds;
-      FdSet dhyfd_cover = Dhyfd(dopt).discover(r).fds;
+      DiscoveryConfig config;
+      config.epsilon = eps;
+      FdSet tane_cover = Tane(config).discover(r).fds;
+      FdSet dhyfd_cover = Dhyfd({config}).discover(r).fds;
       EXPECT_EQ(CoverString(tane_cover), CoverString(dhyfd_cover))
           << "seed=" << seed << " eps=" << eps;
 

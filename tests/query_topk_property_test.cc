@@ -143,13 +143,11 @@ TEST(ApproxOracleTest, AlgorithmsMatchBruteForceApproxCover) {
     Relation r = RandomRelation(seed, 24, 4, 2, seed % 2 ? 0.2 : 0.0);
     for (double eps : {0.05, 0.15, 0.4}) {
       FdSet expected = BruteForceApproxCover(r, eps);
-      TaneOptions topt;
-      topt.epsilon = eps;
-      DhyfdOptions dopt;
-      dopt.epsilon = eps;
-      EXPECT_EQ(CoverString(Tane(topt).discover(r).fds), CoverString(expected))
+      DiscoveryConfig config;
+      config.epsilon = eps;
+      EXPECT_EQ(CoverString(Tane(config).discover(r).fds), CoverString(expected))
           << "tane seed=" << seed << " eps=" << eps;
-      EXPECT_EQ(CoverString(Dhyfd(dopt).discover(r).fds),
+      EXPECT_EQ(CoverString(Dhyfd({config}).discover(r).fds),
                 CoverString(expected))
           << "dhyfd seed=" << seed << " eps=" << eps;
       DiscoveryQuery q;

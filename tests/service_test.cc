@@ -256,7 +256,7 @@ TEST(ServiceTest, PerJobTimeLimitProducesPartialResult) {
   ProfileJob job;
   job.dataset = "big";
   job.options.algorithm = "fdep";
-  job.time_limit_seconds = 0.02;
+  job.options.discovery.time_limit_seconds = 0.02;
   JobHandlePtr handle = scheduler.submit(job);
   handle->wait();
 

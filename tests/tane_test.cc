@@ -84,9 +84,9 @@ TEST(TaneTest, DuplicateRowsOnly) {
 
 TEST(TaneTest, MaxLevelCapStopsEarly) {
   Relation r = RandomRelation(5, 50, 6, 2);
-  TaneOptions opt;
-  opt.max_level = 1;
-  DiscoveryResult res = Tane(opt).discover(r);
+  DiscoveryConfig config;
+  config.max_lhs = 1;
+  DiscoveryResult res = Tane(config).discover(r);
   for (const Fd& fd : res.fds.fds) EXPECT_LE(fd.lhs.count(), 1);
 }
 
