@@ -7,6 +7,7 @@
 #include "bench_util.h"
 
 #include "fd/cover.h"
+#include "util/timer.h"
 
 namespace dhyfd::bench {
 namespace {
@@ -46,7 +47,9 @@ int Main(int argc, char** argv) {
                   "measured", static_cast<long long>(res.fds.size()),
                   static_cast<long long>(max_cover));
     } else {
-      CoverStats stats = ComputeCoverStats(res.fds, r.num_cols());
+      Timer timer;
+      FdSet canonical = CanonicalCover(res.fds, r.num_cols());
+      CoverStats stats = ComputeCoverStats(res.fds, canonical, timer.seconds());
       std::printf("%-11s %-9s %9lld %10lld %9lld %10lld %6.0f %6.0f %9.3f\n", "",
                   "measured", static_cast<long long>(stats.left_reduced_count),
                   static_cast<long long>(stats.left_reduced_occurrences),

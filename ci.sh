@@ -86,7 +86,8 @@ cmake -B build-tsan -S . -DDHYFD_SANITIZE=thread -DDHYFD_WERROR=ON
 cmake --build build-tsan -j "$JOBS" --target \
   thread_pool_test service_test live_store_test incr_property_test \
   obs_test trace_propagation_test net_credit_test net_server_test \
-  net_http_test cost_ledger_test parallel_discovery_test
+  net_http_test cost_ledger_test parallel_discovery_test \
+  parallel_ranking_test
 # halt_on_error makes any race abort the run; TSan also reports threads
 # still running at exit, which covers the "zero leaked threads" check.
 # obs_test / trace_propagation_test hammer the tracer's lock-free per-thread
@@ -112,6 +113,11 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/cost_ledger_test
 # sequential cover equivalence is asserted here with TSan watching the
 # help-first shard claims and the obs-delta relay.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_discovery_test
+# parallel_ranking_test shards the rank stage's per-FD partitions over a
+# pool: each FD scores into its own slot and marks redundant cells in one
+# shared bitmap with relaxed atomic ORs; the ranking and dataset redundancy
+# must equal the sequential ones at every degree, on a saturated pool too.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_ranking_test
 
 echo
 echo "=== asan: partition arena indexing under AddressSanitizer ==="

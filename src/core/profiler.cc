@@ -87,9 +87,10 @@ ProfileReport Profiler::profile(const Relation& relation) const {
   if (options_.compute_canonical) {
     timer.reset();
     TraceSpan span(kObsProfileCanonical);
-    report.cover_stats = ComputeCoverStats(report.left_reduced, relation.num_cols());
     report.canonical = CanonicalCover(report.left_reduced, relation.num_cols());
     report.timings.canonical_seconds = timer.seconds();
+    report.cover_stats = ComputeCoverStats(report.left_reduced, report.canonical,
+                                           report.timings.canonical_seconds);
     if (options_.stage_hook) {
       options_.stage_hook(ProfileStage::kCanonical,
                           report.timings.canonical_seconds);
@@ -105,8 +106,12 @@ ProfileReport Profiler::profile(const Relation& relation) const {
         options_.compute_canonical ? report.canonical : report.left_reduced;
     timer.reset();
     TraceSpan span(kObsProfileRank);
-    report.ranking = RankFds(relation, cover, options_.ranking_mode);
-    report.dataset_redundancy = ComputeDatasetRedundancy(relation, cover);
+    // One pi_X per FD yields both the ranking and the dataset redundancy,
+    // sharded over the job's own pool at its own degree.
+    report.ranking = ComputeFdRedundancies(relation, cover, &report.dataset_redundancy,
+                                           options_.discovery.threads,
+                                           options_.discovery.pool);
+    SortByRedundancy(report.ranking, options_.ranking_mode);
     report.timings.ranking_seconds = timer.seconds();
     if (options_.stage_hook) {
       options_.stage_hook(ProfileStage::kRank, report.timings.ranking_seconds);

@@ -30,9 +30,9 @@ struct ProfileOptions {
   bool compute_ranking = true;
   RedundancyMode ranking_mode = RedundancyMode::kExcludingNullRhs;
   /// Settings for the discovery stage: deadline (the paper's TL), threads
-  /// and pool, arity and error bounds. The JobScheduler sets the pool and
-  /// clamps the threads for service jobs; library callers may pass their
-  /// own pool.
+  /// and pool, arity and error bounds. The rank stage shards over the same
+  /// threads and pool. The JobScheduler sets the pool and clamps the
+  /// threads for service jobs; library callers may pass their own pool.
   DiscoveryConfig discovery;
   /// When set, replaces the discovery stage wholesale: the hook receives
   /// the relation plus these options (after the service layer's

@@ -42,7 +42,11 @@ struct CoverStats {
   double seconds = 0;                    // canonical-cover computation time
 };
 
-CoverStats ComputeCoverStats(const FdSet& left_reduced, int num_attrs);
+/// Describes `canonical`, the canonical cover of `left_reduced`, against
+/// it. The caller computes the cover once (CanonicalCover) and passes the
+/// time that took as `seconds`.
+CoverStats ComputeCoverStats(const FdSet& left_reduced, const FdSet& canonical,
+                             double seconds = 0);
 
 }  // namespace dhyfd
 

@@ -399,7 +399,8 @@ void LiveProfile::rerank_dirty(const std::vector<AttributeSet>& touched_profiles
 void LiveProfile::full_rerank() {
   redundancy_.clear();
   // Only called when the relation is freshly compacted (no tombstones), so
-  // the batch counters can reuse the shared whole-relation implementation.
+  // the batch counters can reuse the rank stage's kernel; it runs
+  // sequentially here, on the strand's worker.
   for (FdRedundancy& red : ComputeFdRedundancies(rel_.relation(), cover_)) {
     redundancy_.emplace(red.fd, std::move(red));
   }
@@ -414,11 +415,7 @@ const std::vector<FdRedundancy>& LiveProfile::ranking() const {
       auto it = redundancy_.find(fd);
       if (it != redundancy_.end()) ranking_.push_back(it->second);
     }
-    RedundancyMode mode = options_.ranking_mode;
-    std::stable_sort(ranking_.begin(), ranking_.end(),
-                     [mode](const FdRedundancy& a, const FdRedundancy& b) {
-                       return RedundancyCount(a, mode) > RedundancyCount(b, mode);
-                     });
+    SortByRedundancy(ranking_, options_.ranking_mode);
     ranking_sorted_ = true;
   }
   return ranking_;

@@ -894,13 +894,12 @@ void ProfilingServer::handle_query_cover(Connection& c, const Frame& frame,
                        "no live dataset named '" + msg->dataset + "'"};
           reply = EncodeMsgFrame(MsgType::kError, request_id, err);
         } else {
-          std::vector<FdRedundancy> ranking = live_->ranking(msg->dataset);
+          std::size_t total = 0;
+          std::vector<FdRedundancy> top =
+              live_->ranking(msg->dataset, msg->top_k, &total);
           CoverResultMsg okmsg;
-          okmsg.total = static_cast<std::uint32_t>(ranking.size());
-          okmsg.top = TopRanked(
-              ranking, msg->top_k == 0
-                           ? static_cast<std::uint32_t>(ranking.size())
-                           : msg->top_k);
+          okmsg.total = static_cast<std::uint32_t>(total);
+          okmsg.top = TopRanked(top, static_cast<std::uint32_t>(top.size()));
           reply = EncodeMsgFrame(MsgType::kCoverResult, request_id, okmsg);
           ok = true;
         }

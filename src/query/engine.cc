@@ -9,7 +9,6 @@
 #include "obs/obs.h"
 #include "obs/obs_schema.gen.h"
 #include "obs/trace.h"
-#include "partition/stripped_partition.h"
 #include "query/topk.h"
 #include "ranking/redundancy.h"
 #include "util/timer.h"
@@ -47,11 +46,11 @@ QueryResult FullDiscoverRanked(const Relation& r, const DiscoveryQuery& q,
   result.stats.pruned_epsilon = discovered.stats.invalidated;
   result.stats.levels = discovered.stats.levels;
   result.stats.timed_out = discovered.stats.timed_out;
-  result.fds.reserve(discovered.fds.fds.size());
-  for (const Fd& fd : discovered.fds.fds) {
-    FdRedundancy red =
-        FdRedundancyFromPartition(r, fd, BuildPartition(r, fd.lhs));
-    result.fds.push_back(RankedFd{fd, RedundancyCount(red, q.ranking_mode)});
+  std::vector<FdRedundancy> reds = ComputeFdRedundancies(
+      r, discovered.fds, nullptr, config.threads, config.pool);
+  result.fds.reserve(reds.size());
+  for (const FdRedundancy& red : reds) {
+    result.fds.push_back(RankedFd{red.fd, RedundancyCount(red, q.ranking_mode)});
   }
   std::sort(result.fds.begin(), result.fds.end(), RankedFdBetter);
   return result;

@@ -19,11 +19,15 @@ int64_t RedundancyCount(const FdRedundancy& red, RedundancyMode mode) {
 std::vector<FdRedundancy> RankFds(const Relation& r, const FdSet& cover,
                                   RedundancyMode mode) {
   std::vector<FdRedundancy> reds = ComputeFdRedundancies(r, cover);
+  SortByRedundancy(reds, mode);
+  return reds;
+}
+
+void SortByRedundancy(std::vector<FdRedundancy>& reds, RedundancyMode mode) {
   std::stable_sort(reds.begin(), reds.end(),
                    [mode](const FdRedundancy& a, const FdRedundancy& b) {
                      return RedundancyCount(a, mode) > RedundancyCount(b, mode);
                    });
-  return reds;
 }
 
 RedundancyHistogram BuildRedundancyHistogram(const std::vector<FdRedundancy>& reds,

@@ -1,10 +1,18 @@
 #include "ranking/redundancy.h"
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstddef>
+
 #include "partition/stripped_partition.h"
+#include "util/thread_pool.h"
 
 namespace dhyfd {
 
 namespace {
+
+constexpr std::size_t kShardsPerThread = 8;
 
 bool AnyLhsNull(const Relation& r, RowId row, const AttributeSet& lhs) {
   bool any = false;
@@ -35,35 +43,70 @@ FdRedundancy FdRedundancyFromPartition(const Relation& r, const Fd& fd,
   return red;
 }
 
-std::vector<FdRedundancy> ComputeFdRedundancies(const Relation& r, const FdSet& cover) {
-  std::vector<FdRedundancy> out;
-  out.reserve(cover.fds.size());
-  for (const Fd& fd : cover.fds) {
-    out.push_back(FdRedundancyFromPartition(r, fd, BuildPartition(r, fd.lhs)));
+std::vector<FdRedundancy> ComputeFdRedundancies(const Relation& r, const FdSet& cover,
+                                                DatasetRedundancy* dataset, int threads,
+                                                ThreadPool* pool) {
+  const std::size_t n = cover.fds.size();
+  const std::size_t m = static_cast<std::size_t>(r.num_cols());
+  const bool parallel = pool != nullptr && threads > 1 && n > 1;
+  std::vector<FdRedundancy> out(n);
+  // One bit per cell, row-major. Bits are only ever set, so shards OR into
+  // the shared words with relaxed atomics and the join orders every write
+  // before the count below.
+  std::vector<std::uint64_t> marked(
+      dataset != nullptr ? (static_cast<std::size_t>(r.num_rows()) * m + 63) / 64 : 0, 0);
+  auto score = [&](std::size_t i) {
+    const Fd& fd = cover.fds[i];
+    StrippedPartition pi = BuildPartition(r, fd.lhs);
+    out[i] = FdRedundancyFromPartition(r, fd, pi);
+    if (dataset == nullptr) return;
+    for (RowId row : pi.row_arena()) {
+      const std::size_t base = static_cast<std::size_t>(row) * m;
+      fd.rhs.for_each([&](AttrId a) {
+        const std::size_t cell = base + static_cast<std::size_t>(a);
+        const std::uint64_t bit = std::uint64_t{1} << (cell % 64);
+        if (parallel) {
+          std::atomic_ref<std::uint64_t>(marked[cell / 64])
+              .fetch_or(bit, std::memory_order_relaxed);
+        } else {
+          marked[cell / 64] |= bit;
+        }
+      });
+    }
+  };
+
+  if (parallel) {
+    // Oversplit: an FD's cost follows its LHS width and pi_X size, so more
+    // shards than threads lets a thread that drew cheap FDs claim more.
+    const std::size_t shards =
+        std::min(n, kShardsPerThread * static_cast<std::size_t>(threads));
+    pool->run_shards(threads, shards, [&](std::size_t s) {
+      auto [begin, end] = ThreadPool::ShardRange(n, shards, s);
+      for (std::size_t i = begin; i < end; ++i) score(i);
+    });
+  } else {
+    for (std::size_t i = 0; i < n; ++i) score(i);
+  }
+
+  if (dataset != nullptr) {
+    *dataset = DatasetRedundancy{};
+    dataset->num_values = r.num_values();
+    for (std::size_t w = 0; w < marked.size(); ++w) {
+      for (std::uint64_t bits = marked[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t cell = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        ++dataset->red_plus0;
+        if (!r.is_null(static_cast<RowId>(cell / m), static_cast<AttrId>(cell % m))) {
+          ++dataset->red;
+        }
+      }
+    }
   }
   return out;
 }
 
 DatasetRedundancy ComputeDatasetRedundancy(const Relation& r, const FdSet& cover) {
   DatasetRedundancy result;
-  result.num_values = r.num_values();
-  const int m = r.num_cols();
-  std::vector<uint8_t> marked(static_cast<size_t>(r.num_rows()) * m, 0);
-  for (const Fd& fd : cover.fds) {
-    StrippedPartition pi = BuildPartition(r, fd.lhs);
-    for (RowId row : pi.row_arena()) {
-      fd.rhs.for_each([&](AttrId a) {
-        marked[static_cast<size_t>(row) * m + a] = 1;
-      });
-    }
-  }
-  for (RowId row = 0; row < r.num_rows(); ++row) {
-    for (AttrId a = 0; a < m; ++a) {
-      if (!marked[static_cast<size_t>(row) * m + a]) continue;
-      ++result.red_plus0;
-      if (!r.is_null(row, a)) ++result.red;
-    }
-  }
+  ComputeFdRedundancies(r, cover, &result);
   return result;
 }
 

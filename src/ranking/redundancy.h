@@ -25,18 +25,6 @@ struct FdRedundancy {
   int64_t excluding_null_lhs_rhs = 0;
 };
 
-/// Per-FD redundancy counts for every FD of a (valid) cover.
-std::vector<FdRedundancy> ComputeFdRedundancies(const Relation& r, const FdSet& cover);
-
-class StrippedPartition;
-
-/// Redundancy counts for one FD from an already-built pi_{lhs}. The query
-/// engine scores candidates with the partitions its lattice traversal holds
-/// anyway; sharing this kernel keeps those scores bit-identical to the
-/// discover-then-rank pipeline.
-FdRedundancy FdRedundancyFromPartition(const Relation& r, const Fd& fd,
-                                       const StrippedPartition& pi_lhs);
-
 /// Dataset-level redundancy (Table IV): an occurrence counts once no matter
 /// how many FDs of the cover make it redundant.
 struct DatasetRedundancy {
@@ -54,6 +42,32 @@ struct DatasetRedundancy {
   }
 };
 
+class StrippedPartition;
+class ThreadPool;
+
+/// The rank stage's kernel: per-FD redundancy counts for every FD of a
+/// (valid) cover, in cover order. Each FD's pi_X is built once; from it the
+/// FD is scored into its own slot and, when `dataset` is set, its redundant
+/// cells are marked in one shared rows x cols bitmap that *dataset is
+/// counted from afterwards. With a pool and threads > 1 the FDs are split
+/// into a fixed number of contiguous shards (a function of the FD count and
+/// `threads` only) run help-first over `pool` (ThreadPool::run_shards);
+/// otherwise it is a plain loop on the caller. Results are identical at any
+/// degree.
+std::vector<FdRedundancy> ComputeFdRedundancies(const Relation& r, const FdSet& cover,
+                                                DatasetRedundancy* dataset = nullptr,
+                                                int threads = 1,
+                                                ThreadPool* pool = nullptr);
+
+/// Redundancy counts for one FD from an already-built pi_{lhs}. The query
+/// engine's top-k lattice scores candidates with the partitions its
+/// traversal holds anyway; sharing this kernel keeps those scores
+/// bit-identical to the discover-then-rank pipeline.
+FdRedundancy FdRedundancyFromPartition(const Relation& r, const Fd& fd,
+                                       const StrippedPartition& pi_lhs);
+
+/// Dataset redundancy alone: ComputeFdRedundancies' `dataset` output,
+/// sequentially.
 DatasetRedundancy ComputeDatasetRedundancy(const Relation& r, const FdSet& cover);
 
 /// O(rows^2) reference counter for one FD; cross-checks the partition-based

@@ -1,5 +1,7 @@
 #include "service/live_store.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -294,11 +296,16 @@ FdSet LiveStore::cover(const std::string& name) const {
   return entry->profile->cover();
 }
 
-std::vector<FdRedundancy> LiveStore::ranking(const std::string& name) const {
+std::vector<FdRedundancy> LiveStore::ranking(const std::string& name,
+                                             std::size_t limit,
+                                             std::size_t* total) const {
   std::shared_ptr<Entry> entry = find(name);
   if (!entry) throw std::invalid_argument("unknown live dataset: " + name);
   MutexLock lock(&entry->profile_mu);
-  return entry->profile->ranking();
+  const std::vector<FdRedundancy>& all = entry->profile->ranking();
+  if (total != nullptr) *total = all.size();
+  const std::size_t n = limit == 0 ? all.size() : std::min(limit, all.size());
+  return std::vector<FdRedundancy>(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
 RowId LiveStore::live_rows(const std::string& name) const {

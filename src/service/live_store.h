@@ -1,6 +1,7 @@
 #ifndef DHYFD_SERVICE_LIVE_STORE_H_
 #define DHYFD_SERVICE_LIVE_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -147,9 +148,14 @@ class LiveStore {
                    ApplyMode mode = ApplyMode::kIncremental);
 
   /// Copies of the current cover / ranking / live row count; throw
-  /// std::invalid_argument for unknown datasets.
+  /// std::invalid_argument for unknown datasets. ranking() copies only its
+  /// first `limit` entries (0 = all) and stores the full length in `*total`
+  /// when given: the copy is made under the dataset's profile lock, which
+  /// update batches wait on.
   FdSet cover(const std::string& name) const DHYFD_EXCLUDES(mu_);
-  std::vector<FdRedundancy> ranking(const std::string& name) const
+  std::vector<FdRedundancy> ranking(const std::string& name,
+                                    std::size_t limit = 0,
+                                    std::size_t* total = nullptr) const
       DHYFD_EXCLUDES(mu_);
   RowId live_rows(const std::string& name) const DHYFD_EXCLUDES(mu_);
 

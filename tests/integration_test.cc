@@ -67,7 +67,8 @@ TEST(IntegrationTest, CanonicalCoverShrinksNcvoterLikeThePaper) {
   // one. The analog must show a clearly sub-60% reduction too.
   Relation r = SmallAnalog("ncvoter", 1000);
   DiscoveryResult res = MakeDiscovery("dhyfd")->discover(r);
-  CoverStats stats = ComputeCoverStats(res.fds, r.num_cols());
+  CoverStats stats =
+      ComputeCoverStats(res.fds, CanonicalCover(res.fds, r.num_cols()));
   EXPECT_GT(stats.left_reduced_count, 100);
   EXPECT_LT(stats.percent_size, 60.0);
 }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -167,6 +169,36 @@ TEST(LiveStoreTest, CoverStaysFreshUnderConcurrentReaders) {
   // only assert the concurrently-served cover ends up sane.
   FdSet served = store.cover("t");
   EXPECT_FALSE(served.empty());
+}
+
+TEST(LiveStoreTest, RankingPrefixMatchesFullRead) {
+  MetricsRegistry metrics;
+  LiveStore store(&metrics, 1);
+  store.create("t", Table(0, 30));
+  UpdateBatch batch;
+  batch.inserts.push_back(Row(300));
+  store.apply("t", batch);
+
+  const std::vector<FdRedundancy> full = store.ranking("t");
+  ASSERT_GE(full.size(), 2u);
+  // 0 means all; a limit past the end returns the whole ranking.
+  for (std::size_t limit : {std::size_t{0}, std::size_t{1}, full.size() - 1,
+                            full.size(), full.size() + 5}) {
+    std::size_t total = 0;
+    std::vector<FdRedundancy> prefix = store.ranking("t", limit, &total);
+    EXPECT_EQ(total, full.size()) << "limit " << limit;
+    const std::size_t want =
+        limit == 0 ? full.size() : std::min(limit, full.size());
+    ASSERT_EQ(prefix.size(), want) << "limit " << limit;
+    for (std::size_t i = 0; i < want; ++i) {
+      EXPECT_TRUE(prefix[i].fd == full[i].fd) << "limit " << limit << " at " << i;
+      EXPECT_EQ(prefix[i].with_nulls, full[i].with_nulls);
+      EXPECT_EQ(prefix[i].excluding_null_rhs, full[i].excluding_null_rhs);
+      EXPECT_EQ(prefix[i].excluding_null_lhs_rhs,
+                full[i].excluding_null_lhs_rhs);
+    }
+  }
+  EXPECT_THROW(store.ranking("nope", 1), std::invalid_argument);
 }
 
 TEST(LiveStoreTest, SubmitAfterShutdownFails) {
