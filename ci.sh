@@ -12,7 +12,8 @@
 #                          the net server round-trip + backpressure suite
 #   6. asan              — partition-arena tests, the wire-framing
 #                          negative/fuzz-ish suite (incl. the query payload
-#                          negatives), and the query lattice under ASan
+#                          negatives), the server's header parsing and
+#                          dispatch, and the query lattice under ASan
 #   7. ubsan             — bit-twiddling kernels under UBSan (non-recoverable)
 #   8. thread-safety     — Clang Thread Safety Analysis as errors over src/,
 #                          plus a seeded mis-annotation that must FAIL to
@@ -127,7 +128,7 @@ echo "=== asan: partition arena indexing under AddressSanitizer ==="
 cmake -B build-asan -S . -DDHYFD_SANITIZE=address -DDHYFD_WERROR=ON
 cmake --build build-asan -j "$JOBS" --target \
   partition_test partition_intersect_test \
-  net_wire_test query_test
+  net_wire_test net_server_test query_test
 ./build-asan/tests/partition_test
 ./build-asan/tests/partition_intersect_test
 # net_wire_test feeds the frame decoder truncated frames, hostile length
@@ -136,6 +137,11 @@ cmake --build build-asan -j "$JOBS" --target \
 # payload negatives (truncated SubmitQuery specs, hostile column counts,
 # absurd k/epsilon) ride in the same binary.
 ./build-asan/tests/net_wire_test
+# net_server_test drives the server's frame-header parsing and per-request
+# dispatch with real sockets: hostile hellos, unassigned type bytes, and
+# the ops-pool request path, where a stale reference would be a
+# use-after-free.
+./build-asan/tests/net_server_test
 # query_test drives the top-k lattice and the g3 removal counter, both of
 # which walk the shared CSR arena with raw cursors.
 ./build-asan/tests/query_test

@@ -22,14 +22,14 @@ class CallTrace {
     std::uint64_t current = CurrentTraceId();
     if (current != 0) {
       // An explicit TraceIdScope marks this call for end-to-end attribution
-      // even when span recording is off: the envelope still crosses the
-      // wire, so the server charges CPU and returns a cost trailer.
+      // even when span recording is off: the id still crosses the wire, so
+      // the server charges CPU and returns a cost trailer.
       trace_id_ = current;
     } else if (tracer.enabled()) {
       trace_id_ = tracer.next_trace_id();
       scope_.emplace(trace_id_);
     } else {
-      return;  // untraced: bare frame, no envelope, no trailer
+      return;  // untraced: trace id 0 on the wire, no trailer
     }
     if (tracer.enabled()) span_.emplace(kObsNetClientCall);
   }
@@ -76,7 +76,6 @@ StreamEvent DecodeStreamEvent(const Frame& frame) {
     case MsgType::kPing:
     case MsgType::kGoodbye:
     case MsgType::kSubmitQuery:
-    case MsgType::kTracedRequest:
     case MsgType::kHelloOk:
     case MsgType::kError:
     case MsgType::kRegisterOk:
@@ -99,31 +98,14 @@ void BlockingClient::send_request(MsgType type, std::uint64_t request_id,
                                   const Msg& msg, std::uint64_t trace_id) {
   WireWriter w;
   msg.encode(w);
-  send_payload(type, request_id, w.bytes(), trace_id);
-}
-
-void BlockingClient::send_payload(MsgType type, std::uint64_t request_id,
-                                  const std::vector<std::uint8_t>& payload,
-                                  std::uint64_t trace_id) {
-  if (limits_.protocol_version >= kTraceProtocolVersion && trace_id != 0) {
-    // Stamp the request: the envelope adds 17 bytes (trace id, span id,
-    // inner type) and the server adopts the ids for all its spans.
-    TraceContext ctx;
-    ctx.trace_id = trace_id;
-    ctx.span_id = Tracer::Global().next_trace_id();
-    sock_.write_all(EncodeTracedFrame(type, request_id, payload, ctx));
-    return;
-  }
-  sock_.write_all(EncodeFrame(type, request_id, payload));
+  sock_.write_all(EncodeFrame(type, request_id, w.bytes(), trace_id));
 }
 
 void BlockingClient::read_cost_trailer(std::uint64_t request_id,
                                        std::uint64_t trace_id) {
-  // Trailers pair with trace envelopes: the server only appends one when
-  // the request arrived wrapped, so an untraced call must not wait for it
-  // (and pays no extra reads on the fast path).
+  // Trailers pair with traced requests: an untraced call must not wait for
+  // one (and pays no extra reads on the fast path).
   if (trace_id == 0) return;
-  if (limits_.protocol_version < kTraceProtocolVersion) return;
   Frame trailer = wait_response(request_id, MsgType::kCostTrailer);
   WireReader r(trailer.payload);
   last_cost_ = CostTrailerMsg::decode(r);
@@ -132,14 +114,12 @@ void BlockingClient::read_cost_trailer(std::uint64_t request_id,
 
 BlockingClient::BlockingClient(const std::string& host, std::uint16_t port,
                                const std::string& client_name,
-                               double timeout_seconds,
-                               std::uint32_t protocol_version)
+                               double timeout_seconds)
     : timeout_seconds_(timeout_seconds) {
   sock_ = ConnectTcp(host, port);
   sock_.set_tcp_nodelay(true);
   sock_.set_recv_timeout(timeout_seconds);
   HelloMsg hello;
-  hello.protocol_version = protocol_version;
   hello.client_name = client_name;
   std::uint64_t id = next_request_id();
   sock_.write_all(EncodeMsgFrame(MsgType::kHello, id, hello));
@@ -170,11 +150,7 @@ DiscoveryResultMsg BlockingClient::submit_discovery(
     const SubmitDiscoveryMsg& request) {
   CallTrace trace;
   std::uint64_t id = next_request_id();
-  // Encoded against the negotiated version: a v<=3 server gets the
-  // pre-parallelism schema (and the parallelism request is simply dropped).
-  WireWriter w;
-  request.encode(w, limits_.protocol_version);
-  send_payload(MsgType::kSubmitDiscovery, id, w.bytes(), trace.trace_id());
+  send_request(MsgType::kSubmitDiscovery, id, request, trace.trace_id());
   Frame reply = wait_response(id, MsgType::kDiscoveryResult);
   read_cost_trailer(id, trace.trace_id());
   WireReader r(reply.payload);
@@ -184,9 +160,7 @@ DiscoveryResultMsg BlockingClient::submit_discovery(
 QueryResultMsg BlockingClient::submit_query(const SubmitQueryMsg& request) {
   CallTrace trace;
   std::uint64_t id = next_request_id();
-  WireWriter w;
-  request.encode(w, limits_.protocol_version);
-  send_payload(MsgType::kSubmitQuery, id, w.bytes(), trace.trace_id());
+  send_request(MsgType::kSubmitQuery, id, request, trace.trace_id());
   Frame reply = wait_response(id, MsgType::kQueryResult);
   read_cost_trailer(id, trace.trace_id());
   WireReader r(reply.payload);
@@ -324,15 +298,7 @@ bool BlockingClient::read_one(Frame* out) {
   if (!sock_.read_exact(body.data(), body.size())) {
     throw std::runtime_error("connection closed mid-frame");
   }
-  out->type = static_cast<MsgType>(body[0]);
-  if (!IsKnownMsgType(body[0])) {
-    throw std::runtime_error("unknown message type from server");
-  }
-  std::uint64_t id = 0;
-  for (int i = 0; i < 8; ++i) {
-    id |= static_cast<std::uint64_t>(body[1 + i]) << (8 * i);
-  }
-  out->request_id = id;
+  DecodeFrameHeader(body.data(), out);  // WireError on an unknown type
   out->payload.assign(body.begin() + kFrameHeaderBytes, body.end());
   return true;
 }

@@ -24,7 +24,8 @@ std::uint32_t TraceLane(std::uint64_t trace_id) {
   return 900000u + static_cast<std::uint32_t>(trace_id % 100000);
 }
 
-/// Stable request-type label for net.rpc.* metric names and /slowlog rows.
+/// Stable request-type label for net.rpc.* metric names and /slowlog rows;
+/// nullptr for a type that is not a client request.
 const char* RequestTypeName(MsgType type) {
   switch (type) {
     case MsgType::kSubmitDiscovery: return "submit_discovery";
@@ -38,7 +39,6 @@ const char* RequestTypeName(MsgType type) {
     case MsgType::kUnsubscribe:
     case MsgType::kPing:
     case MsgType::kGoodbye:
-    case MsgType::kTracedRequest:
     case MsgType::kHelloOk:
     case MsgType::kError:
     case MsgType::kRegisterOk:
@@ -52,42 +52,9 @@ const char* RequestTypeName(MsgType type) {
     case MsgType::kPong:
     case MsgType::kQueryResult:
     case MsgType::kCostTrailer:
-      return "other";
+      return nullptr;
   }
-  return "other";
-}
-
-bool IsRequestType(MsgType type) {
-  switch (type) {
-    case MsgType::kSubmitDiscovery:
-    case MsgType::kSubmitQuery:
-    case MsgType::kRegisterDataset:
-    case MsgType::kQueryCover:
-    case MsgType::kApplyUpdate:
-    case MsgType::kSubscribe:
-      return true;
-    case MsgType::kHello:
-    case MsgType::kCredit:
-    case MsgType::kUnsubscribe:
-    case MsgType::kPing:
-    case MsgType::kGoodbye:
-    case MsgType::kTracedRequest:
-    case MsgType::kHelloOk:
-    case MsgType::kError:
-    case MsgType::kRegisterOk:
-    case MsgType::kDiscoveryResult:
-    case MsgType::kCoverResult:
-    case MsgType::kUpdateOk:
-    case MsgType::kSubscribeOk:
-    case MsgType::kCoverUpdate:
-    case MsgType::kStreamEnd:
-    case MsgType::kHeartbeat:
-    case MsgType::kPong:
-    case MsgType::kQueryResult:
-    case MsgType::kCostTrailer:
-      return false;
-  }
-  return false;
+  return nullptr;
 }
 
 /// Appends a kCostTrailer frame (same request_id as the answer it follows)
@@ -101,8 +68,6 @@ void AppendCostTrailer(std::vector<std::uint8_t>* out,
       cost.cpu_ns, 0));
   trailer.validations = static_cast<std::uint64_t>(cost.validations);
   trailer.partitions_built = static_cast<std::uint64_t>(cost.partitions_built);
-  trailer.cache_hits = static_cast<std::uint64_t>(cost.cache_hits);
-  trailer.cache_misses = static_cast<std::uint64_t>(cost.cache_misses);
   trailer.bytes_streamed = static_cast<std::uint64_t>(cost.bytes_streamed);
   trailer.queue_seconds = queue_seconds;
   trailer.run_seconds = run_seconds;
@@ -431,45 +396,8 @@ void ProfilingServer::handle_readable(Connection& c) {
 }
 
 void ProfilingServer::dispatch(Connection& c, const Frame& frame) {
-  if (frame.type == MsgType::kTracedRequest) {
-    // Trace-context envelope (v3+): adopt the client-stamped ids, then
-    // dispatch the wrapped request as if it had arrived bare. The inner
-    // payload is the tail of the envelope's payload — no copy of the frame
-    // header, same request_id.
-    if (c.protocol_version < kTraceProtocolVersion) {
-      send_error(c, frame.request_id, ErrCode::kUnsupportedVersion,
-                 "traced requests require protocol version " +
-                     std::to_string(kTraceProtocolVersion) +
-                     "; this connection negotiated " +
-                     std::to_string(c.protocol_version));
-      return;
-    }
-    Frame inner;
-    TraceContext ctx;
-    try {
-      WireReader r(frame.payload);
-      MsgType inner_type;
-      ctx = DecodeTracedHeader(r, &inner_type);
-      inner.type = inner_type;
-      inner.request_id = frame.request_id;
-      inner.payload.assign(
-          frame.payload.begin() +
-              static_cast<std::ptrdiff_t>(frame.payload.size() - r.remaining()),
-          frame.payload.end());
-    } catch (const WireError&) {
-      m_protocol_errors_.inc();
-      drop_connection(c.id, "malformed traced envelope");
-      return;
-    }
-    TraceIdScope trace_scope(ctx.trace_id);
-    dispatch_request(c, inner, ctx);
-    return;
-  }
-  dispatch_request(c, frame, TraceContext{});
-}
-
-void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
-                                       const TraceContext& ctx) {
+  // Every span and job this request starts joins the client's causal tree.
+  TraceIdScope trace_scope(frame.trace_id);
   TraceSpan span(kObsNetDispatch);
   if (c.closing) return;  // goodbye already seen; ignore the tail
   if (!c.got_hello && frame.type != MsgType::kHello) {
@@ -482,19 +410,14 @@ void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
       case MsgType::kHello: {
         WireReader r(frame.payload);
         HelloMsg hello = HelloMsg::decode(r);
-        if (hello.protocol_version < kMinProtocolVersion ||
-            hello.protocol_version > kProtocolVersion) {
+        if (hello.protocol_version != kProtocolVersion) {
           send_error(c, frame.request_id, ErrCode::kUnsupportedVersion,
-                     "server speaks protocol versions " +
-                         std::to_string(kMinProtocolVersion) + ".." +
+                     "server speaks protocol version " +
                          std::to_string(kProtocolVersion));
           c.closing = true;
           return;
         }
         c.got_hello = true;
-        // Negotiate down to the client's version; v2-only requests from a
-        // v1 connection get a clean per-request error, not a disconnect.
-        c.protocol_version = hello.protocol_version;
         // The hello name becomes the tenant key for cost attribution;
         // bounded so a hostile client cannot grow the tenant table rows.
         if (!hello.client_name.empty()) {
@@ -502,7 +425,6 @@ void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
         }
         c.tenant_slot = tenant_slot(c.client_name);
         HelloOkMsg ok;
-        ok.protocol_version = c.protocol_version;
         ok.max_inflight = options_.max_inflight;
         ok.credit_max = options_.credit_max;
         ok.heartbeat_seconds = options_.heartbeat_seconds;
@@ -527,7 +449,6 @@ void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
       case MsgType::kApplyUpdate:
       case MsgType::kSubscribe:
       case MsgType::kSubmitQuery:
-      case MsgType::kTracedRequest:
       case MsgType::kHelloOk:
       case MsgType::kError:
       case MsgType::kRegisterOk:
@@ -546,13 +467,8 @@ void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
 
     // Everything below is a real request: quota-charged, and refused
     // outright while draining.
-    RpcFinish reject;
-    reject.rtype = RequestTypeName(frame.type);
-    reject.outcome = "rejected";
-    reject.request_id = frame.request_id;
-    reject.trace_id = ctx.trace_id;
     if (draining_) {
-      if (IsRequestType(frame.type)) record_rpc(c, reject, 0);
+      record_reject(c, frame);
       send_error(c, frame.request_id, ErrCode::kShuttingDown,
                  "server is draining");
       return;
@@ -560,26 +476,26 @@ void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
     m_requests_.inc();
     if (!c.bucket.try_take(now())) {
       metrics_->counter(kObsNetQuotaRejects).inc();
-      if (IsRequestType(frame.type)) record_rpc(c, reject, 0);
+      record_reject(c, frame);
       send_error(c, frame.request_id, ErrCode::kQuotaExceeded,
                  "request quota exhausted; slow down");
       return;
     }
     switch (frame.type) {
       case MsgType::kSubmitDiscovery:
-        handle_submit_discovery(c, frame, ctx);
+        handle_submit_discovery(c, frame);
         return;
       case MsgType::kSubmitQuery:
-        handle_submit_query(c, frame, ctx);
+        handle_submit_query(c, frame);
         return;
       case MsgType::kRegisterDataset:
-        handle_register(c, frame, ctx);
+        handle_register(c, frame);
         return;
       case MsgType::kQueryCover:
-        handle_query_cover(c, frame, ctx);
+        handle_query_cover(c, frame);
         return;
       case MsgType::kApplyUpdate:
-        handle_apply_update(c, frame, ctx);
+        handle_apply_update(c, frame);
         return;
       case MsgType::kSubscribe:
         handle_subscribe(c, frame);
@@ -589,7 +505,6 @@ void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
       case MsgType::kUnsubscribe:
       case MsgType::kPing:
       case MsgType::kGoodbye:
-      case MsgType::kTracedRequest:
       case MsgType::kHelloOk:
       case MsgType::kError:
       case MsgType::kRegisterOk:
@@ -604,7 +519,7 @@ void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
       case MsgType::kQueryResult:
       case MsgType::kCostTrailer:
         // A known type that is not a client request: server->client codes,
-        // a nested kTracedRequest, or control frames already handled above.
+        // or control frames already handled above.
         m_protocol_errors_.inc();
         drop_connection(c.id, "unexpected message direction");
         return;
@@ -616,11 +531,51 @@ void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
   }
 }
 
+void ProfilingServer::record_reject(Connection& c, const Frame& frame) {
+  RpcFinish reject;
+  reject.rtype = RequestTypeName(frame.type);
+  if (reject.rtype == nullptr) return;  // not a request; nothing to record
+  reject.outcome = "rejected";
+  reject.request_id = frame.request_id;
+  reject.trace_id = frame.trace_id;
+  record_rpc(c, reject, 0);
+}
+
+bool ProfilingServer::acquire_inflight(Connection& c, const Frame& frame) {
+  if (c.inflight.try_acquire()) return true;
+  metrics_->counter(kObsNetInflightRejects).inc();
+  record_reject(c, frame);
+  // Scheduler jobs name the window size in the error message.
+  bool job = frame.type == MsgType::kSubmitDiscovery ||
+             frame.type == MsgType::kSubmitQuery;
+  send_error(c, frame.request_id, ErrCode::kTooManyInFlight,
+             job ? "in-flight window full (" +
+                       std::to_string(c.inflight.max()) + ")"
+                 : std::string("in-flight window full"));
+  return false;
+}
+
+void ProfilingServer::submit_job(Connection& c, const Frame& frame,
+                                 ProfileJob job, std::uint32_t top_k,
+                                 std::shared_ptr<QueryResultSlot> query_slot) {
+  if (!acquire_inflight(c, frame)) return;
+  JobHandlePtr handle = scheduler_->submit(std::move(job));
+  if (handle->rejected()) {
+    c.inflight.release();
+    metrics_->counter(kObsNetBusyRejects).inc();
+    record_reject(c, frame);
+    send_error(c, frame.request_id, ErrCode::kServerBusy, handle->error());
+    return;
+  }
+  pending_jobs_.push_back({c.id, frame.request_id, top_k, now(),
+                           std::move(handle), std::move(query_slot),
+                           /*want_trailer=*/frame.trace_id != 0});
+}
+
 void ProfilingServer::handle_submit_discovery(Connection& c,
-                                              const Frame& frame,
-                                              const TraceContext& ctx) {
+                                              const Frame& frame) {
   WireReader r(frame.payload);
-  SubmitDiscoveryMsg msg = SubmitDiscoveryMsg::decode(r, c.protocol_version);
+  SubmitDiscoveryMsg msg = SubmitDiscoveryMsg::decode(r);
   ProfileJob job;
   job.dataset = msg.dataset;
   job.options.algorithm = msg.algorithm;
@@ -630,14 +585,14 @@ void ProfilingServer::handle_submit_discovery(Connection& c,
   // discovery loops poll it via util/deadline.h and stop past-due work
   // instead of burning a worker on an answer nobody is waiting for.
   job.options.discovery.time_limit_seconds = msg.deadline_ms / 1000.0;
-  // v4 parallelism request: a hostile degree is harmless — the scheduler
-  // clamps to its pool size — but bound it anyway so the int cast is safe.
+  // A hostile parallelism degree is harmless — the scheduler clamps to its
+  // pool size — but bound it anyway so the int cast is safe.
   job.options.discovery.threads = static_cast<int>(
       std::max<std::uint32_t>(1, std::min<std::uint32_t>(msg.parallelism,
                                                          1u << 10)));
   // Client-stamped trace context rides into the scheduler: svc.queue_wait
   // and svc.job.run land in the same causal tree as the client's call span.
-  job.trace_id = ctx.trace_id;
+  job.trace_id = frame.trace_id;
   // An unknown algorithm is the client's mistake: answer it here, like a
   // hostile query spec, instead of queueing a job that can only fail.
   std::string options_error = DescribeProfileError(job.options);
@@ -645,46 +600,12 @@ void ProfilingServer::handle_submit_discovery(Connection& c,
     send_error(c, frame.request_id, ErrCode::kBadRequest, options_error);
     return;
   }
-  RpcFinish reject;
-  reject.rtype = "submit_discovery";
-  reject.outcome = "rejected";
-  reject.request_id = frame.request_id;
-  reject.trace_id = ctx.trace_id;
-  if (!c.inflight.try_acquire()) {
-    metrics_->counter(kObsNetInflightRejects).inc();
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kTooManyInFlight,
-               "in-flight window full (" + std::to_string(c.inflight.max()) +
-                   ")");
-    return;
-  }
-  JobHandlePtr handle = scheduler_->submit(std::move(job));
-  if (handle->rejected()) {
-    c.inflight.release();
-    metrics_->counter(kObsNetBusyRejects).inc();
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kServerBusy, handle->error());
-    return;
-  }
-  PendingJob pending{c.id, frame.request_id, msg.top_k, now(),
-                     std::move(handle)};
-  pending.want_trailer = c.protocol_version >= kTraceProtocolVersion &&
-                         ctx.trace_id != 0;
-  pending_jobs_.push_back(std::move(pending));
+  submit_job(c, frame, std::move(job), msg.top_k, nullptr);
 }
 
-void ProfilingServer::handle_submit_query(Connection& c, const Frame& frame,
-                                          const TraceContext& ctx) {
-  if (c.protocol_version < kQueryProtocolVersion) {
-    send_error(c, frame.request_id, ErrCode::kUnsupportedVersion,
-               "submit_query requires protocol version " +
-                   std::to_string(kQueryProtocolVersion) +
-                   "; this connection negotiated " +
-                   std::to_string(c.protocol_version));
-    return;
-  }
+void ProfilingServer::handle_submit_query(Connection& c, const Frame& frame) {
   WireReader r(frame.payload);
-  SubmitQueryMsg msg = SubmitQueryMsg::decode(r, c.protocol_version);
+  SubmitQueryMsg msg = SubmitQueryMsg::decode(r);
   DiscoveryQuery query;
   query.epsilon = msg.epsilon;
   query.max_lhs = static_cast<int>(
@@ -706,19 +627,6 @@ void ProfilingServer::handle_submit_query(Connection& c, const Frame& frame,
     send_error(c, frame.request_id, ErrCode::kBadRequest, spec_error);
     return;
   }
-  RpcFinish reject;
-  reject.rtype = "submit_query";
-  reject.outcome = "rejected";
-  reject.request_id = frame.request_id;
-  reject.trace_id = ctx.trace_id;
-  if (!c.inflight.try_acquire()) {
-    metrics_->counter(kObsNetInflightRejects).inc();
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kTooManyInFlight,
-               "in-flight window full (" + std::to_string(c.inflight.max()) +
-                   ")");
-    return;
-  }
   ProfileJob job;
   job.dataset = msg.dataset;
   job.options.semantics = SemanticsFromWire(msg.semantics);
@@ -734,55 +642,28 @@ void ProfilingServer::handle_submit_query(Connection& c, const Frame& frame,
   job.options.discovery.threads = static_cast<int>(
       std::max<std::uint32_t>(1, std::min<std::uint32_t>(msg.parallelism,
                                                          1u << 10)));
-  job.trace_id = ctx.trace_id;
-  JobHandlePtr handle = scheduler_->submit(std::move(job));
-  if (handle->rejected()) {
-    c.inflight.release();
-    metrics_->counter(kObsNetBusyRejects).inc();
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kServerBusy, handle->error());
-    return;
-  }
-  PendingJob pending{c.id, frame.request_id, msg.top_k, now(),
-                     std::move(handle), /*is_query=*/true,
-                     std::move(query_slot)};
-  pending.want_trailer = c.protocol_version >= kTraceProtocolVersion &&
-                         ctx.trace_id != 0;
-  pending_jobs_.push_back(std::move(pending));
+  job.trace_id = frame.trace_id;
+  submit_job(c, frame, std::move(job), msg.top_k, std::move(query_slot));
 }
 
-void ProfilingServer::handle_register(Connection& c, const Frame& frame,
-                                      const TraceContext& ctx) {
-  WireReader r(frame.payload);
-  auto msg = std::make_shared<RegisterDatasetMsg>(
-      RegisterDatasetMsg::decode(r));
-  if (!c.inflight.try_acquire()) {
-    metrics_->counter(kObsNetInflightRejects).inc();
-    RpcFinish reject;
-    reject.rtype = "register_dataset";
-    reject.outcome = "rejected";
-    reject.request_id = frame.request_id;
-    reject.trace_id = ctx.trace_id;
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kTooManyInFlight,
-               "in-flight window full");
-    return;
-  }
-  // CSV parsing and (for live datasets) the synchronous initial discovery
-  // are far too slow for the event loop; they run on the ops pool and come
-  // back through the completion queue. The pool inherits the dispatch-time
-  // TraceIdScope, so spans inside the task land on the client's trace.
+void ProfilingServer::run_on_ops_pool(
+    Connection& c, const Frame& frame, ErrCode on_throw,
+    std::function<bool(std::vector<std::uint8_t>*)> body) {
+  if (!acquire_inflight(c, frame)) return;
+  // The task comes back through the completion queue. The pool inherits
+  // the dispatch-time TraceIdScope, so spans inside the task land on the
+  // client's trace.
+  const char* rtype = RequestTypeName(frame.type);
   std::uint64_t conn_id = c.id;
   std::uint64_t request_id = frame.request_id;
+  std::uint64_t trace_id = frame.trace_id;
   double started = now();
-  std::uint64_t trace_id = ctx.trace_id;
-  bool want_trailer = c.protocol_version >= kTraceProtocolVersion &&
-                         ctx.trace_id != 0;
   Tracer& tracer = Tracer::Global();
   std::int64_t enq_us =
       (trace_id != 0 && tracer.enabled()) ? tracer.now_us() : 0;
-  bool submitted = ops_pool_.submit([this, conn_id, request_id, started, msg,
-                                     trace_id, want_trailer, enq_us] {
+  bool submitted = ops_pool_.submit([this, rtype, conn_id, request_id,
+                                     trace_id, started, enq_us, on_throw,
+                                     body = std::move(body)] {
     Tracer& tracer = Tracer::Global();
     if (enq_us != 0 && tracer.enabled()) {
       tracer.record_span(kObsNetQueueWait, trace_id, enq_us, tracer.now_us(),
@@ -795,10 +676,55 @@ void ProfilingServer::handle_register(Connection& c, const Frame& frame,
     {
       // CPU attribution costs a thread-CPU clock syscall on each end;
       // only traced requests opted into that. Counter classification
-      // (validations, partitions, cache traffic) stays on for everyone.
+      // (validations, partitions) stays on for everyone.
       CostLedgerScope cost_scope(&cost, /*charge_cpu=*/trace_id != 0);
       TraceSpan run_span(kObsNetOpsRun);
       try {
+        ok = body(&reply);
+      } catch (const std::exception& e) {
+        ok = false;
+        ErrorMsg err{on_throw, e.what()};
+        reply = EncodeMsgFrame(MsgType::kError, request_id, err);
+      }
+    }
+    cost.bytes_streamed = static_cast<std::int64_t>(reply.size());
+    Completion done{conn_id, std::vector<std::uint8_t>(), started, true};
+    done.finish.rtype = rtype;
+    done.finish.outcome = ok ? "ok" : "error";
+    done.finish.request_id = request_id;
+    done.finish.trace_id = trace_id;
+    done.finish.queue_seconds = run_start - started;
+    done.finish.run_seconds = now() - run_start;
+    done.finish.has_cost = true;
+    done.finish.cost = cost;
+    if (ok && trace_id != 0) {
+      AppendCostTrailer(&reply, request_id, cost, done.finish.queue_seconds,
+                        done.finish.run_seconds);
+    }
+    done.frame = std::move(reply);
+    {
+      MutexLock lock(&mu_);
+      completions_.push_back(std::move(done));
+    }
+    wake_.wake();
+  });
+  if (!submitted) {
+    c.inflight.release();
+    send_error(c, frame.request_id, ErrCode::kShuttingDown,
+               "server is shutting down");
+  }
+}
+
+void ProfilingServer::handle_register(Connection& c, const Frame& frame) {
+  WireReader r(frame.payload);
+  auto msg = std::make_shared<RegisterDatasetMsg>(
+      RegisterDatasetMsg::decode(r));
+  // CSV parsing and (for live datasets) the synchronous initial discovery
+  // are far too slow for the event loop.
+  std::uint64_t request_id = frame.request_id;
+  run_on_ops_pool(
+      c, frame, ErrCode::kBadRequest,
+      [this, msg, request_id](std::vector<std::uint8_t>* reply) {
         RawTable table = ParseCsvString(msg->csv_text);
         RegisterOkMsg okmsg;
         okmsg.rows = static_cast<std::uint32_t>(table.num_rows());
@@ -809,161 +735,51 @@ void ProfilingServer::handle_register(Connection& c, const Frame& frame,
           opts.semantics = SemanticsFromWire(msg->semantics);
           live_->create(msg->name, std::move(table), opts);
         }
-        reply = EncodeMsgFrame(MsgType::kRegisterOk, request_id, okmsg);
-        ok = true;
-      } catch (const std::exception& e) {
-        ErrorMsg err{ErrCode::kBadRequest, e.what()};
-        reply = EncodeMsgFrame(MsgType::kError, request_id, err);
-      }
-    }
-    cost.bytes_streamed = static_cast<std::int64_t>(reply.size());
-    Completion done{conn_id, std::vector<std::uint8_t>(), started, true};
-    done.finish.rtype = "register_dataset";
-    done.finish.outcome = ok ? "ok" : "error";
-    done.finish.request_id = request_id;
-    done.finish.trace_id = trace_id;
-    done.finish.queue_seconds = run_start - started;
-    done.finish.run_seconds = now() - run_start;
-    done.finish.has_cost = true;
-    done.finish.cost = cost;
-    if (ok && want_trailer) {
-      AppendCostTrailer(&reply, request_id, cost, done.finish.queue_seconds,
-                        done.finish.run_seconds);
-    }
-    done.frame = std::move(reply);
-    {
-      MutexLock lock(&mu_);
-      completions_.push_back(std::move(done));
-    }
-    wake_.wake();
-  });
-  if (!submitted) {
-    c.inflight.release();
-    send_error(c, frame.request_id, ErrCode::kShuttingDown,
-               "server is shutting down");
-  }
+        *reply = EncodeMsgFrame(MsgType::kRegisterOk, request_id, okmsg);
+        return true;
+      });
 }
 
-void ProfilingServer::handle_query_cover(Connection& c, const Frame& frame,
-                                         const TraceContext& ctx) {
+void ProfilingServer::handle_query_cover(Connection& c, const Frame& frame) {
   WireReader r(frame.payload);
   auto msg = std::make_shared<QueryCoverMsg>(QueryCoverMsg::decode(r));
-  if (!c.inflight.try_acquire()) {
-    metrics_->counter(kObsNetInflightRejects).inc();
-    RpcFinish reject;
-    reject.rtype = "query_cover";
-    reject.outcome = "rejected";
-    reject.request_id = frame.request_id;
-    reject.trace_id = ctx.trace_id;
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kTooManyInFlight,
-               "in-flight window full");
-    return;
-  }
   // The ranking snapshot takes the dataset's profile lock, which a running
   // update batch may hold for a while — off the loop thread it goes.
-  std::uint64_t conn_id = c.id;
   std::uint64_t request_id = frame.request_id;
-  double started = now();
-  std::uint64_t trace_id = ctx.trace_id;
-  bool want_trailer = c.protocol_version >= kTraceProtocolVersion &&
-                         ctx.trace_id != 0;
-  Tracer& tracer = Tracer::Global();
-  std::int64_t enq_us =
-      (trace_id != 0 && tracer.enabled()) ? tracer.now_us() : 0;
-  bool submitted = ops_pool_.submit([this, conn_id, request_id, started, msg,
-                                     trace_id, want_trailer, enq_us] {
-    Tracer& tracer = Tracer::Global();
-    if (enq_us != 0 && tracer.enabled()) {
-      tracer.record_span(kObsNetQueueWait, trace_id, enq_us, tracer.now_us(),
-                         TraceLane(trace_id));
-    }
-    double run_start = now();
-    CostLedger cost;
-    std::vector<std::uint8_t> reply;
-    bool ok = false;
-    {
-      // CPU attribution costs a thread-CPU clock syscall on each end;
-      // only traced requests opted into that. Counter classification
-      // (validations, partitions, cache traffic) stays on for everyone.
-      CostLedgerScope cost_scope(&cost, /*charge_cpu=*/trace_id != 0);
-      TraceSpan run_span(kObsNetOpsRun);
-      try {
+  run_on_ops_pool(
+      c, frame, ErrCode::kInternal,
+      [this, msg, request_id](std::vector<std::uint8_t>* reply) {
         if (!live_->contains(msg->dataset)) {
           ErrorMsg err{ErrCode::kUnknownDataset,
                        "no live dataset named '" + msg->dataset + "'"};
-          reply = EncodeMsgFrame(MsgType::kError, request_id, err);
-        } else {
-          std::size_t total = 0;
-          std::vector<FdRedundancy> top =
-              live_->ranking(msg->dataset, msg->top_k, &total);
-          CoverResultMsg okmsg;
-          okmsg.total = static_cast<std::uint32_t>(total);
-          okmsg.top = TopRanked(top, static_cast<std::uint32_t>(top.size()));
-          reply = EncodeMsgFrame(MsgType::kCoverResult, request_id, okmsg);
-          ok = true;
+          *reply = EncodeMsgFrame(MsgType::kError, request_id, err);
+          return false;
         }
-      } catch (const std::exception& e) {
-        ErrorMsg err{ErrCode::kInternal, e.what()};
-        reply = EncodeMsgFrame(MsgType::kError, request_id, err);
-      }
-    }
-    cost.bytes_streamed = static_cast<std::int64_t>(reply.size());
-    Completion done{conn_id, std::vector<std::uint8_t>(), started, true};
-    done.finish.rtype = "query_cover";
-    done.finish.outcome = ok ? "ok" : "error";
-    done.finish.request_id = request_id;
-    done.finish.trace_id = trace_id;
-    done.finish.queue_seconds = run_start - started;
-    done.finish.run_seconds = now() - run_start;
-    done.finish.has_cost = true;
-    done.finish.cost = cost;
-    if (ok && want_trailer) {
-      AppendCostTrailer(&reply, request_id, cost, done.finish.queue_seconds,
-                        done.finish.run_seconds);
-    }
-    done.frame = std::move(reply);
-    {
-      MutexLock lock(&mu_);
-      completions_.push_back(std::move(done));
-    }
-    wake_.wake();
-  });
-  if (!submitted) {
-    c.inflight.release();
-    send_error(c, frame.request_id, ErrCode::kShuttingDown,
-               "server is shutting down");
-  }
+        std::size_t total = 0;
+        std::vector<FdRedundancy> top =
+            live_->ranking(msg->dataset, msg->top_k, &total);
+        CoverResultMsg okmsg;
+        okmsg.total = static_cast<std::uint32_t>(total);
+        okmsg.top = TopRanked(top, static_cast<std::uint32_t>(top.size()));
+        *reply = EncodeMsgFrame(MsgType::kCoverResult, request_id, okmsg);
+        return true;
+      });
 }
 
-void ProfilingServer::handle_apply_update(Connection& c, const Frame& frame,
-                                          const TraceContext& ctx) {
+void ProfilingServer::handle_apply_update(Connection& c, const Frame& frame) {
   WireReader r(frame.payload);
   ApplyUpdateMsg msg = ApplyUpdateMsg::decode(r);
-  if (!c.inflight.try_acquire()) {
-    metrics_->counter(kObsNetInflightRejects).inc();
-    RpcFinish reject;
-    reject.rtype = "apply_update";
-    reject.outcome = "rejected";
-    reject.request_id = frame.request_id;
-    reject.trace_id = ctx.trace_id;
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kTooManyInFlight,
-               "in-flight window full");
-    return;
-  }
+  if (!acquire_inflight(c, frame)) return;
   UpdateJob job;
   job.dataset = msg.dataset;
   job.batch.inserts = std::move(msg.inserts);
   job.batch.deletes.assign(msg.deletes.begin(), msg.deletes.end());
   // The trace id rides the LiveStore strand: incr.queue_wait / incr.batch
   // spans and the resulting CoverChangeEvent all carry the client's id.
-  job.trace_id = ctx.trace_id;
+  job.trace_id = frame.trace_id;
   UpdateJobHandlePtr handle = live_->submit(std::move(job));
-  PendingUpdate pending{c.id, frame.request_id, now(), std::move(handle)};
-  pending.want_trailer = c.protocol_version >= kTraceProtocolVersion &&
-                         ctx.trace_id != 0;
-  pending_updates_.push_back(std::move(pending));
+  pending_updates_.push_back({c.id, frame.request_id, now(), std::move(handle),
+                              /*want_trailer=*/frame.trace_id != 0});
 }
 
 void ProfilingServer::handle_subscribe(Connection& c, const Frame& frame) {
@@ -1050,7 +866,8 @@ void ProfilingServer::finish_job(const PendingJob& job) {
   m_request_seconds_.record(duration);
 
   RpcFinish fin;
-  fin.rtype = job.is_query ? "submit_query" : "submit_discovery";
+  const bool is_query = job.query_slot != nullptr;
+  fin.rtype = is_query ? "submit_query" : "submit_discovery";
   fin.outcome = "ok";
   fin.request_id = job.request_id;
   fin.trace_id = job.handle->trace_id();
@@ -1072,14 +889,14 @@ void ProfilingServer::finish_job(const PendingJob& job) {
   }
 
   std::vector<std::uint8_t> reply;
-  if (job.is_query) {
+  if (is_query) {
     QueryResultMsg msg;
     msg.state = JobStateName(state);
     msg.queue_seconds = job.handle->queue_seconds();
     msg.run_seconds = job.handle->run_seconds();
     try {
       const ProfileReport& report = job.handle->report();
-      if (job.query_slot != nullptr && job.query_slot->result.has_value()) {
+      if (job.query_slot->result.has_value()) {
         const QueryResult& qr = *job.query_slot->result;
         msg.total = static_cast<std::uint32_t>(qr.fds.size());
         msg.early_terminated = qr.stats.early_terminated;
@@ -1132,8 +949,8 @@ void ProfilingServer::finish_job(const PendingJob& job) {
   fin.cost.bytes_streamed += static_cast<std::int64_t>(reply.size());
   if (job.want_trailer) {
     // Any result frame (including cancelled / deadline_expired partials)
-    // gets the trailer; only kError answers go bare, so a v3 client reads
-    // the trailer exactly when it got a result.
+    // of a traced request gets the trailer; only kError answers go bare, so
+    // the client reads the trailer exactly when it got a result.
     AppendCostTrailer(&reply, job.request_id, fin.cost, fin.queue_seconds,
                       fin.run_seconds);
   }

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -114,9 +115,9 @@ struct ServerOptions {
 /// Observability: net.* counters/gauges/histograms into the shared
 /// MetricsRegistry (so they ride the existing Prometheus exposition),
 /// net.dispatch / net.queue_wait / net.rpc spans into the global tracer
-/// (adopting client-stamped trace ids from kTracedRequest wrappers), a
-/// per-request CostLedger returned in kCostTrailer frames and aggregated
-/// per connection/tenant, net.rpc.<type>.<outcome>_seconds latency
+/// (adopting the trace id each request frame carries), a per-request
+/// CostLedger returned in kCostTrailer frames after traced requests and
+/// aggregated per connection/tenant, net.rpc.<type>.<outcome>_seconds latency
 /// histograms, and — when options.http_enabled — an embedded HTTP/1.0
 /// endpoint serving /metrics, /healthz, /slowlog, and /tracez.
 class ProfilingServer {
@@ -170,10 +171,6 @@ class ProfilingServer {
     double last_recv = 0;
     double last_send = 0;
     bool got_hello = false;
-    /// Negotiated at the hello handshake: min(client, server). Gates
-    /// version-specific requests (kSubmitQuery needs v2) without breaking
-    /// older clients.
-    std::uint32_t protocol_version = 0;
     /// Flush the outbound buffer, then close (goodbye / stream-end paths).
     bool closing = false;
     /// The socket failed mid-write (peer reset, buffer overflow). The
@@ -221,14 +218,12 @@ class ProfilingServer {
     std::uint32_t top_k = 0;
     double started = 0;
     JobHandlePtr handle;
-    /// True for kSubmitQuery jobs: the answer is a kQueryResult frame built
-    /// from query_slot instead of a kDiscoveryResult.
-    bool is_query = false;
-    /// Set for kSubmitQuery jobs: BindQueryToProfile routes the job's
-    /// discovery stage through the query engine and parks the ranked
+    /// Set exactly for kSubmitQuery jobs, whose answer is a kQueryResult
+    /// frame instead of a kDiscoveryResult: BindQueryToProfile routes the
+    /// job's discovery stage through the query engine and parks the ranked
     /// answer here; safe to read once handle->finished() is true.
     std::shared_ptr<QueryResultSlot> query_slot;
-    /// The connection negotiated v3+: successful answers get a kCostTrailer.
+    /// The request was traced: a successful answer gets a kCostTrailer.
     bool want_trailer = false;
   };
   struct PendingUpdate {
@@ -266,22 +261,32 @@ class ProfilingServer {
   // Loop-side handlers (loop thread only).
   void accept_new();
   void handle_readable(Connection& c);
+  /// The per-request switch; runs under TraceIdScope(frame.trace_id).
   void dispatch(Connection& c, const Frame& frame);
-  /// The per-request switch, after dispatch() unwrapped any kTracedRequest
-  /// envelope. `ctx` carries the client-stamped trace context (ids 0 when
-  /// the request was not traced); runs under TraceIdScope(ctx.trace_id).
-  void dispatch_request(Connection& c, const Frame& frame,
-                        const TraceContext& ctx);
-  void handle_submit_discovery(Connection& c, const Frame& frame,
-                               const TraceContext& ctx);
-  void handle_submit_query(Connection& c, const Frame& frame,
-                           const TraceContext& ctx);
-  void handle_register(Connection& c, const Frame& frame,
-                       const TraceContext& ctx);
-  void handle_query_cover(Connection& c, const Frame& frame,
-                          const TraceContext& ctx);
-  void handle_apply_update(Connection& c, const Frame& frame,
-                           const TraceContext& ctx);
+  void handle_submit_discovery(Connection& c, const Frame& frame);
+  void handle_submit_query(Connection& c, const Frame& frame);
+  void handle_register(Connection& c, const Frame& frame);
+  void handle_query_cover(Connection& c, const Frame& frame);
+  void handle_apply_update(Connection& c, const Frame& frame);
+  /// Records a request refused at admission as a "rejected" RPC (a no-op
+  /// for frame types that are not requests).
+  void record_reject(Connection& c, const Frame& frame);
+  /// Admits a scheduler job for `frame` and parks it in pending_jobs_
+  /// (`query_slot` is null except for kSubmitQuery jobs).
+  void submit_job(Connection& c, const Frame& frame, ProfileJob job,
+                  std::uint32_t top_k,
+                  std::shared_ptr<QueryResultSlot> query_slot);
+  /// Takes a slot in c's in-flight window. When the window is full the
+  /// request is counted, recorded as rejected and answered
+  /// kTooManyInFlight, and this returns false.
+  bool acquire_inflight(Connection& c, const Frame& frame);
+  /// Runs a request on the ops pool, off the event loop. `body` encodes the
+  /// reply frame into *reply and returns true on success; a body that
+  /// throws is answered kError(`on_throw`). Around it this owns the
+  /// in-flight slot, the queue-wait span, the request's CostLedger, the
+  /// telemetry record and the cost trailer of a traced success.
+  void run_on_ops_pool(Connection& c, const Frame& frame, ErrCode on_throw,
+                       std::function<bool(std::vector<std::uint8_t>*)> body);
   void handle_subscribe(Connection& c, const Frame& frame);
   void handle_credit(Connection& c, const Frame& frame);
   void handle_unsubscribe(Connection& c, const Frame& frame);

@@ -47,13 +47,10 @@ std::string CostLedgerJson(const CostLedger& cost) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "{\"cpu_ms\":%.3f,\"validations\":%lld,"
-                "\"partitions_built\":%lld,\"cache_hits\":%lld,"
-                "\"cache_misses\":%lld,\"bytes_streamed\":%lld}",
+                "\"partitions_built\":%lld,\"bytes_streamed\":%lld}",
                 static_cast<double>(cost.cpu_ns) / 1e6,
                 static_cast<long long>(cost.validations),
                 static_cast<long long>(cost.partitions_built),
-                static_cast<long long>(cost.cache_hits),
-                static_cast<long long>(cost.cache_misses),
                 static_cast<long long>(cost.bytes_streamed));
   return buf;
 }

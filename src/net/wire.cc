@@ -4,7 +4,7 @@ namespace dhyfd::net {
 
 bool IsKnownMsgType(std::uint8_t t) {
   if (t >= static_cast<std::uint8_t>(MsgType::kHello) &&
-      t <= static_cast<std::uint8_t>(MsgType::kTracedRequest)) {
+      t <= static_cast<std::uint8_t>(MsgType::kSubmitQuery)) {
     return true;
   }
   return t >= static_cast<std::uint8_t>(MsgType::kHelloOk) &&
@@ -35,19 +35,44 @@ const char* StreamEndReasonName(StreamEndReason reason) {
   return "unknown";
 }
 
+namespace {
+
+void AppendLe64(std::vector<std::uint8_t>* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+std::uint64_t ReadLe64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+  return v;
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> EncodeFrame(MsgType type, std::uint64_t request_id,
-                                      const std::vector<std::uint8_t>& payload) {
+                                      const std::vector<std::uint8_t>& payload,
+                                      std::uint64_t trace_id) {
   std::vector<std::uint8_t> out;
   out.reserve(kLengthPrefixBytes + kFrameHeaderBytes + payload.size());
   std::uint32_t len =
       static_cast<std::uint32_t>(kFrameHeaderBytes + payload.size());
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
   out.push_back(static_cast<std::uint8_t>(type));
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(request_id >> (8 * i)));
-  }
+  AppendLe64(&out, request_id);
+  AppendLe64(&out, trace_id);
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
+}
+
+void DecodeFrameHeader(const std::uint8_t* header, Frame* out) {
+  if (!IsKnownMsgType(header[0])) {
+    throw WireError("unknown message type " + std::to_string(int{header[0]}));
+  }
+  out->type = static_cast<MsgType>(header[0]);
+  out->request_id = ReadLe64(header + 1);
+  out->trace_id = ReadLe64(header + 9);
 }
 
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
@@ -87,11 +112,7 @@ bool FrameDecoder::next(Frame* out) {
     throw WireError("unknown message type " + std::to_string(int{p[4]}));
   }
   if (avail < kLengthPrefixBytes + len) return false;
-  out->type = static_cast<MsgType>(p[4]);
-  out->request_id = 0;
-  for (int i = 0; i < 8; ++i) {
-    out->request_id |= std::uint64_t{p[5 + i]} << (8 * i);
-  }
+  DecodeFrameHeader(p + kLengthPrefixBytes, out);
   out->payload.assign(p + kLengthPrefixBytes + kFrameHeaderBytes,
                       p + kLengthPrefixBytes + len);
   consumed_ += kLengthPrefixBytes + len;

@@ -10,20 +10,24 @@
 namespace dhyfd::net {
 
 /// The RPC wire format is deliberately minimal: a little-endian length
-/// prefix, a one-byte message type, an eight-byte correlation id, and a
-/// type-specific payload (see messages.h for the payload schemas and
-/// DESIGN.md "Network service" for the framing rationale):
+/// prefix, a one-byte message type, an eight-byte correlation id, an
+/// eight-byte trace id, and a type-specific payload (see messages.h for the
+/// payload schemas and DESIGN.md "Network service" for the framing
+/// rationale):
 ///
-///   +----------+------+------------+---------------------+
-///   | u32 len  | u8 t | u64 req_id | payload (len-9 B)   |
-///   +----------+------+------------+---------------------+
+///   +---------+------+------------+--------------+--------------------+
+///   | u32 len | u8 t | u64 req_id | u64 trace_id | payload (len-17 B) |
+///   +---------+------+------------+--------------+--------------------+
 ///
-/// `len` counts everything after itself (type + request id + payload), so a
-/// frame occupies 4 + len bytes on the wire and the smallest legal frame has
-/// len == 9. Anything malformed — len below the header size, len above the
-/// negotiated maximum, an unknown type byte, or a payload whose fields read
-/// past its end — is a protocol error: the peer's connection is dropped, it
-/// is never "best-effort parsed".
+/// `len` counts everything after itself (type + request id + trace id +
+/// payload), so a frame occupies 4 + len bytes on the wire and the smallest
+/// legal frame has len == 17. `trace_id` is the client's trace id for the
+/// request's causal tree; 0 means untraced. The server runs a traced request
+/// under that id and follows its successful result with a kCostTrailer;
+/// server frames carry 0. Anything malformed — len below the header size,
+/// len above the configured maximum, an unknown type byte, or a payload
+/// whose fields read past its end — is a protocol error: the peer's
+/// connection is dropped, it is never "best-effort parsed".
 
 /// Everything the client may send and everything the server may answer.
 /// Values are wire-stable; add new ones at the end only.
@@ -39,8 +43,8 @@ enum class MsgType : std::uint8_t {
   kUnsubscribe = 8,      // end a subscription
   kPing = 9,             // liveness probe; also resets the idle timer
   kGoodbye = 10,         // polite close: server flushes, then disconnects
-  kSubmitQuery = 11,     // run a rank-driven discovery query (protocol v2+)
-  kTracedRequest = 12,   // trace-context wrapper around any request (v3+)
+  kSubmitQuery = 11,     // run a rank-driven discovery query
+  // 12 is unassigned.
 
   // server -> client
   kHelloOk = 64,         // handshake reply: limits the client must respect
@@ -54,8 +58,8 @@ enum class MsgType : std::uint8_t {
   kStreamEnd = 72,       // subscription closed; reason code
   kHeartbeat = 73,       // periodic keepalive on streaming connections
   kPong = 74,
-  kQueryResult = 75,     // answer to kSubmitQuery (protocol v2+)
-  kCostTrailer = 76,     // per-request cost ledger after a success (v3+)
+  kQueryResult = 75,     // answer to kSubmitQuery
+  kCostTrailer = 76,     // per-request cost ledger after a traced success
 };
 
 /// True if `t` is a value the protocol defines (in either direction).
@@ -92,7 +96,7 @@ class WireError : public std::runtime_error {
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
 
-constexpr std::size_t kFrameHeaderBytes = 9;   // type + request id
+constexpr std::size_t kFrameHeaderBytes = 17;  // type + request id + trace id
 constexpr std::size_t kLengthPrefixBytes = 4;
 /// Default cap on `len`; covers a multi-MB CSV upload while bounding what a
 /// hostile length prefix can make the server reserve.
@@ -194,12 +198,18 @@ class WireReader {
 struct Frame {
   MsgType type = MsgType::kPing;
   std::uint64_t request_id = 0;
+  std::uint64_t trace_id = 0;  // 0 = untraced
   std::vector<std::uint8_t> payload;
 };
 
 /// Serializes a complete frame (length prefix included).
 std::vector<std::uint8_t> EncodeFrame(MsgType type, std::uint64_t request_id,
-                                      const std::vector<std::uint8_t>& payload);
+                                      const std::vector<std::uint8_t>& payload,
+                                      std::uint64_t trace_id = 0);
+
+/// Fills out's type, request id and trace id from the kFrameHeaderBytes
+/// that follow a length prefix; throws WireError on an unknown type byte.
+void DecodeFrameHeader(const std::uint8_t* header, Frame* out);
 
 /// Incremental frame extractor for one connection: feed() raw bytes as they
 /// arrive, next() pops complete frames. Malformed input (length prefix

@@ -14,7 +14,7 @@ namespace {
 /// short strcmp()s — small next to the registry lookup the forwarded sink
 /// already pays. Unlisted counters are forwarded but not classified.
 enum class LedgerField {
-  kNone, kValidations, kPartitionsBuilt, kHits, kMisses, kCpu
+  kNone, kValidations, kPartitionsBuilt, kCpu
 };
 
 LedgerField Classify(const char* name) {
@@ -33,13 +33,6 @@ LedgerField Classify(const char* name) {
   if (std::strcmp(name, kObsPartitionIntersections) == 0 ||
       std::strcmp(name, kObsPartitionDdmDynamicBuilds) == 0) {
     return LedgerField::kPartitionsBuilt;
-  }
-  if (std::strcmp(name, kObsPartitionCacheHits) == 0 ||
-      std::strcmp(name, kObsPartitionPrefixCacheHits) == 0) {
-    return LedgerField::kHits;
-  }
-  if (std::strcmp(name, kObsPartitionCacheMisses) == 0) {
-    return LedgerField::kMisses;
   }
   return LedgerField::kNone;
 }
@@ -70,8 +63,6 @@ void CostLedgerScope::add(const char* name, std::int64_t delta) {
   switch (Classify(name)) {
     case LedgerField::kValidations: out_->validations += delta; break;
     case LedgerField::kPartitionsBuilt: out_->partitions_built += delta; break;
-    case LedgerField::kHits: out_->cache_hits += delta; break;
-    case LedgerField::kMisses: out_->cache_misses += delta; break;
     case LedgerField::kCpu: out_->cpu_ns += delta; break;
     case LedgerField::kNone: break;
   }

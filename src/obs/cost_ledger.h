@@ -16,22 +16,18 @@ struct CostLedger {
   std::int64_t cpu_ns = 0;            // CLOCK_THREAD_CPUTIME_ID delta
   std::int64_t validations = 0;       // discover/query/incr FD validations
   std::int64_t partitions_built = 0;  // intersections + dynamic DDM builds
-  std::int64_t cache_hits = 0;        // partition cache + prefix cache hits
-  std::int64_t cache_misses = 0;
   std::int64_t bytes_streamed = 0;    // filled by the transport, not the scope
 
   void add(const CostLedger& o) {
     cpu_ns += o.cpu_ns;
     validations += o.validations;
     partitions_built += o.partitions_built;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
     bytes_streamed += o.bytes_streamed;
   }
 
   bool zero() const {
     return cpu_ns == 0 && validations == 0 && partitions_built == 0 &&
-           cache_hits == 0 && cache_misses == 0 && bytes_streamed == 0;
+           bytes_streamed == 0;
   }
 };
 

@@ -22,8 +22,8 @@ struct ProfileJob {
   /// Higher-priority jobs run first; ties run in submission order.
   int priority = 0;
   /// Trace id to adopt for this job's span tree (0 = let the scheduler mint
-  /// one when tracing is on). Set by the server from the client-stamped
-  /// kTracedRequest context so client and server spans share one tree.
+  /// one when tracing is on). Set by the server from the request frame's
+  /// trace id so client and server spans share one tree.
   std::uint64_t trace_id = 0;
 };
 

@@ -12,10 +12,10 @@ namespace dhyfd {
 
 namespace {
 
-/// Trace-context propagation: a task submitted from a traced context (a
+/// Trace-id propagation: a task submitted from a traced context (a
 /// job's worker fanning out, a traced main thread) runs under the same
 /// trace id on whichever worker picks it up. Free when no context is set.
-std::function<void()> CaptureTraceContext(std::function<void()> task) {
+std::function<void()> CaptureTraceId(std::function<void()> task) {
   std::uint64_t trace_id = CurrentTraceId();
   if (trace_id == 0) return task;
   return [trace_id, task = std::move(task)] {
@@ -65,7 +65,7 @@ ThreadPool::ThreadPool(int num_threads, std::size_t max_queue)
 ThreadPool::~ThreadPool() { shutdown(); }
 
 void ThreadPool::enqueue_locked(std::function<void()> task) {
-  queue_.push_back(CaptureTraceContext(std::move(task)));
+  queue_.push_back(CaptureTraceId(std::move(task)));
   not_empty_.notify_one();
 }
 

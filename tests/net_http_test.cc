@@ -192,7 +192,6 @@ TEST(NetHttpEndpointTest, SlowlogAndTracezCarryRequestCosts) {
   // The discovery actually validated FDs, so its ledger is non-zero.
   EXPECT_NE(slowlog.find("\"validations\":"), std::string::npos);
   EXPECT_EQ(slowlog.find("\"validations\":0,\"partitions_built\":0,"
-                         "\"cache_hits\":0,\"cache_misses\":0,"
                          "\"bytes_streamed\":0"),
             std::string::npos)
       << "every recorded request has an all-zero ledger:\n" << slowlog;

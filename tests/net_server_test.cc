@@ -60,13 +60,10 @@ bool ReadRawFrame(Socket& s, Frame* out) {
   for (int i = 0; i < 4; ++i) {
     len |= static_cast<std::uint32_t>(len_bytes[i]) << (8 * i);
   }
+  if (len < kFrameHeaderBytes) return false;
   std::vector<std::uint8_t> body(len);
   if (!s.read_exact(body.data(), body.size())) return false;
-  out->type = static_cast<MsgType>(body[0]);
-  out->request_id = 0;
-  for (int i = 0; i < 8; ++i) {
-    out->request_id |= static_cast<std::uint64_t>(body[1 + i]) << (8 * i);
-  }
+  DecodeFrameHeader(body.data(), out);
   out->payload.assign(body.begin() + kFrameHeaderBytes, body.end());
   return true;
 }
@@ -255,39 +252,6 @@ TEST(NetServerTest, UnknownAlgorithmGetsBadRequestBeforeQueueing) {
   // The same connection still answers a valid request.
   submit.algorithm = "dhyfd";
   EXPECT_EQ(client.submit_discovery(submit).state, "done");
-}
-
-TEST(NetServerTest, V1ClientIsRejectedCleanlyOnSubmitQuery) {
-  Stack stack;
-  Socket s = ConnectTcp("127.0.0.1", stack.server->port());
-  s.set_recv_timeout(30);
-  HelloMsg hello;
-  hello.protocol_version = 1;  // an old client
-  hello.client_name = "legacy";
-  s.write_all(EncodeMsgFrame(MsgType::kHello, 1, hello));
-  Frame f;
-  ASSERT_TRUE(ReadRawFrame(s, &f));
-  ASSERT_EQ(f.type, MsgType::kHelloOk);
-  {
-    WireReader r(f.payload);
-    EXPECT_EQ(HelloOkMsg::decode(r).protocol_version, 1u);
-  }
-
-  // v2-only request on a v1 connection: per-request error, no disconnect.
-  SubmitQueryMsg submit;
-  submit.dataset = "whatever";
-  s.write_all(EncodeMsgFrame(MsgType::kSubmitQuery, 2, submit));
-  ASSERT_TRUE(ReadRawFrame(s, &f));
-  ASSERT_EQ(f.type, MsgType::kError);
-  {
-    WireReader r(f.payload);
-    EXPECT_EQ(ErrorMsg::decode(r).code, ErrCode::kUnsupportedVersion);
-  }
-
-  // The v1 message set still works on the same connection.
-  s.write_all(EncodeEmptyFrame(MsgType::kPing, 3));
-  ASSERT_TRUE(ReadRawFrame(s, &f));
-  EXPECT_EQ(f.type, MsgType::kPong);
 }
 
 TEST(NetServerTest, UnknownDatasetErrors) {
@@ -763,13 +727,13 @@ TEST(NetServerTest, CostTrailerPairsWithTracedRequests) {
   BlockingClient client = stack.connect("billed");
   EXPECT_FALSE(client.has_last_cost());
 
-  // Untraced requests stay bare on the wire: no envelope out, no trailer
-  // back, so the fast path pays nothing for attribution nobody asked for.
+  // Untraced requests carry trace id 0: no trailer comes back, so the
+  // fast path pays nothing for attribution nobody asked for.
   client.register_dataset("plain", DemoCsv(), /*live=*/false);
   EXPECT_FALSE(client.has_last_cost());
 
   // A TraceIdScope opts the calls into end-to-end attribution even with
-  // span recording off: the envelope crosses the wire and every
+  // span recording off: the trace id crosses the wire and every
   // successful result comes back with its cost trailer.
   TraceIdScope traced(771);
   client.register_dataset("aba", DemoCsv(), /*live=*/true);
@@ -810,38 +774,37 @@ TEST(NetServerTest, ErrorRepliesCarryNoTrailer) {
   EXPECT_TRUE(client.has_last_cost());
 }
 
-TEST(NetServerTest, V2ClientSpeaksPlainProtocolWithoutTrailers) {
+TEST(NetServerTest, PreviousProtocolVersionGetsErrorThenClose) {
+  // There is one protocol version: a hello announcing the one before it is
+  // refused like any other mismatch, and the connection closes.
   Stack stack;
-  BlockingClient client("127.0.0.1", stack.server->port(), "legacy-v2",
-                        /*timeout_seconds=*/30, /*protocol_version=*/2);
-  EXPECT_EQ(client.server_limits().protocol_version, 2u);
-
-  // Every v2 request works unwrapped, and no trailer ever arrives —
-  // the response stream stays exactly the pre-v3 sequence.
-  client.register_dataset("aba", DemoCsv(), /*live=*/true);
-  SubmitDiscoveryMsg submit;
-  submit.dataset = "aba";
-  EXPECT_EQ(client.submit_discovery(submit).state, "done");
-  EXPECT_GT(client.query_cover("aba", 2).total, 0u);
-  EXPECT_FALSE(client.has_last_cost());
-  client.ping();
+  Socket s = ConnectTcp("127.0.0.1", stack.server->port());
+  s.set_recv_timeout(30);
+  HelloMsg hello;
+  hello.protocol_version = kProtocolVersion - 1;
+  ASSERT_EQ(hello.protocol_version, 4u);
+  s.write_all(EncodeMsgFrame(MsgType::kHello, 1, hello));
+  Frame f;
+  ASSERT_TRUE(ReadRawFrame(s, &f));
+  ASSERT_EQ(f.type, MsgType::kError);
+  WireReader r(f.payload);
+  EXPECT_EQ(ErrorMsg::decode(r).code, ErrCode::kUnsupportedVersion);
+  EXPECT_FALSE(ReadRawFrame(s, &f));  // server closed after the reply
 }
 
-TEST(NetServerTest, MalformedTracedEnvelopeDropsConnection) {
+TEST(NetServerTest, UnassignedTypeTwelveDropsOnlyThatConnection) {
   Stack stack;
   BlockingClient healthy = stack.connect("healthy");
-  BlockingClient hostile = stack.connect("hostile");
+  BlockingClient hostile = stack.connect("hostile");  // hello answered
 
-  // A traced envelope whose inner type is itself kTracedRequest: the
-  // server must refuse to recurse and drop the connection as a protocol
-  // error, leaving other connections alone.
-  WireWriter w;
-  w.u64(1);  // trace_id
-  w.u64(2);  // span_id
-  w.u8(static_cast<std::uint8_t>(MsgType::kTracedRequest));
+  // Type 12 is unassigned: the decoder rejects the type byte, the server
+  // counts a protocol error and drops that connection alone.
   std::vector<std::uint8_t> frame =
-      EncodeFrame(MsgType::kTracedRequest, 7, w.bytes());
-  hostile.send_bytes(reinterpret_cast<const char*>(frame.data()), frame.size());
+      EncodeFrame(MsgType::kPing, 7, {}, /*trace_id=*/1);
+  frame[kLengthPrefixBytes] = 12;
+  std::int64_t errors_before =
+      stack.metrics.counter("net.protocol_errors").value();
+  hostile.send_bytes(frame.data(), frame.size());
   bool dropped = false;
   try {
     Frame f;
@@ -850,8 +813,11 @@ TEST(NetServerTest, MalformedTracedEnvelopeDropsConnection) {
     dropped = true;
   }
   EXPECT_TRUE(dropped);
-  EXPECT_GE(stack.metrics.counter("net.protocol_errors").value(), 1);
+  EXPECT_EQ(stack.metrics.counter("net.protocol_errors").value(),
+            errors_before + 1);
   healthy.ping();
+  healthy.register_dataset("aba", DemoCsv(), /*live=*/true);
+  EXPECT_GT(healthy.query_cover("aba", 2).total, 0u);
 }
 
 TEST(NetServerTest, MaxConnectionsAcceptThenClose) {

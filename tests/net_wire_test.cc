@@ -94,6 +94,31 @@ TEST(FrameTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(dec.buffered_bytes(), 0u);
 }
 
+TEST(FrameTest, TraceIdRoundTrips) {
+  std::vector<std::uint8_t> payload = Bytes({7, 8});
+  std::vector<std::uint8_t> traced = EncodeFrame(
+      MsgType::kQueryCover, 11, payload, /*trace_id=*/0x8877665544332211ull);
+  std::vector<std::uint8_t> untraced =
+      EncodeFrame(MsgType::kQueryCover, 12, payload);
+  ASSERT_EQ(traced.size(), kLengthPrefixBytes + 17 + payload.size());
+  // Little-endian trace id right after the request id.
+  EXPECT_EQ(traced[kLengthPrefixBytes + 9], 0x11);
+  EXPECT_EQ(traced[kLengthPrefixBytes + 16], 0x88);
+
+  FrameDecoder dec;
+  dec.feed(traced.data(), traced.size());
+  dec.feed(untraced.data(), untraced.size());
+  Frame f;
+  ASSERT_TRUE(dec.next(&f));
+  EXPECT_EQ(f.request_id, 11u);
+  EXPECT_EQ(f.trace_id, 0x8877665544332211ull);
+  EXPECT_EQ(f.payload, payload);
+  ASSERT_TRUE(dec.next(&f));
+  EXPECT_EQ(f.request_id, 12u);
+  EXPECT_EQ(f.trace_id, 0u);  // the default is untraced
+  EXPECT_EQ(f.payload, payload);
+}
+
 TEST(FrameDecoderTest, ReassemblesByteAtATime) {
   std::vector<std::uint8_t> wire =
       EncodeFrame(MsgType::kPing, 42, Bytes({9, 9, 9}));
@@ -127,12 +152,26 @@ TEST(FrameDecoderTest, ManyFramesInOneFeed) {
 }
 
 TEST(FrameDecoderTest, LengthBelowHeaderSizeThrows) {
-  // len = 3 < 9: cannot even hold type + request id.
+  // len = 3 < 17: cannot even hold type + request id + trace id.
   std::vector<std::uint8_t> wire = Bytes({3, 0, 0, 0, 1, 0, 0});
   FrameDecoder dec;
   dec.feed(wire.data(), wire.size());
   Frame f;
   EXPECT_THROW(dec.next(&f), WireError);
+}
+
+TEST(FrameDecoderTest, LengthShortOfTraceIdThrows) {
+  // len in [9, 17) holds a type and a request id but no trace id: every
+  // such length is malformed, however many bytes follow it.
+  for (std::uint32_t len = 9; len < 17; ++len) {
+    std::vector<std::uint8_t> wire = Bytes(
+        {static_cast<int>(len), 0, 0, 0, static_cast<int>(MsgType::kPing)});
+    wire.resize(kLengthPrefixBytes + 32, 0);
+    FrameDecoder dec;
+    dec.feed(wire.data(), wire.size());
+    Frame f;
+    EXPECT_THROW(dec.next(&f), WireError) << "len " << len;
+  }
 }
 
 TEST(FrameDecoderTest, OversizedLengthPrefixThrowsBeforeBuffering) {
@@ -325,7 +364,7 @@ TEST(MessagesTest, SubmitParallelismRoundTripsAtV4) {
   msg.dataset = "d";
   msg.parallelism = 6;
   WireWriter w;
-  msg.encode(w);  // default version is v4+
+  msg.encode(w);
   WireReader r(w.bytes());
   EXPECT_EQ(SubmitDiscoveryMsg::decode(r).parallelism, 6u);
 
@@ -338,44 +377,24 @@ TEST(MessagesTest, SubmitParallelismRoundTripsAtV4) {
   EXPECT_EQ(SubmitQueryMsg::decode(qr).parallelism, 3u);
 }
 
-TEST(MessagesTest, SubmitSchemaIsVersionExact) {
-  // A v3 encoding omits the parallelism field entirely; a v3 decode of it
-  // succeeds with the default degree. The same bytes at v4 are a truncated
-  // payload, and a v4 encoding carries trailing bytes for a v3 decoder —
-  // both directions must throw rather than guess.
+TEST(MessagesTest, SubmitMissingParallelismFailsToDecode) {
+  // parallelism is the last field of both submit schemas: a payload that
+  // stops 4 bytes short is truncated, never decoded with a default degree.
   SubmitDiscoveryMsg msg;
   msg.dataset = "d";
   msg.parallelism = 8;
-  WireWriter v3;
-  msg.encode(v3, kTraceProtocolVersion);
-  WireWriter v4;
-  msg.encode(v4, kParallelProtocolVersion);
-  EXPECT_EQ(v3.bytes().size() + 4, v4.bytes().size());
-
-  WireReader ok(v3.bytes());
-  SubmitDiscoveryMsg old = SubmitDiscoveryMsg::decode(ok,
-                                                      kTraceProtocolVersion);
-  EXPECT_EQ(old.parallelism, 0u);  // field never crossed the wire
-
-  WireReader short_read(v3.bytes());
-  EXPECT_THROW(SubmitDiscoveryMsg::decode(short_read,
-                                          kParallelProtocolVersion),
-               WireError);
-  WireReader long_read(v4.bytes());
-  EXPECT_THROW(SubmitDiscoveryMsg::decode(long_read, kTraceProtocolVersion),
-               WireError);
+  WireWriter w;
+  msg.encode(w);
+  WireReader short_read(w.bytes().data(), w.bytes().size() - 4);
+  EXPECT_THROW(SubmitDiscoveryMsg::decode(short_read), WireError);
 
   SubmitQueryMsg qmsg;
   qmsg.dataset = "d";
   qmsg.parallelism = 8;
-  WireWriter qv3;
-  qmsg.encode(qv3, kTraceProtocolVersion);
-  WireReader qok(qv3.bytes());
-  EXPECT_EQ(SubmitQueryMsg::decode(qok, kTraceProtocolVersion).parallelism,
-            0u);
-  WireReader qshort(qv3.bytes());
-  EXPECT_THROW(SubmitQueryMsg::decode(qshort, kParallelProtocolVersion),
-               WireError);
+  WireWriter qw;
+  qmsg.encode(qw);
+  WireReader qshort(qw.bytes().data(), qw.bytes().size() - 4);
+  EXPECT_THROW(SubmitQueryMsg::decode(qshort), WireError);
 }
 
 TEST(MessagesTest, QueryResultRoundTrip) {
@@ -470,11 +489,11 @@ TEST(MessagesTest, HostileEpsilonAndKStillDecode) {
 TEST(MessagesTest, QueryFrameTypesAreKnown) {
   EXPECT_TRUE(IsKnownMsgType(static_cast<std::uint8_t>(MsgType::kSubmitQuery)));
   EXPECT_TRUE(IsKnownMsgType(static_cast<std::uint8_t>(MsgType::kQueryResult)));
-  // v3 extends both ranges: the trace envelope and the cost trailer are the
-  // new range ends.
-  EXPECT_TRUE(IsKnownMsgType(static_cast<std::uint8_t>(MsgType::kTracedRequest)));
+  // The cost trailer ends the server range.
   EXPECT_TRUE(IsKnownMsgType(static_cast<std::uint8_t>(MsgType::kCostTrailer)));
-  // The hole between client and server ranges is still unknown.
+  // 12 is unassigned, and the hole between client and server ranges is
+  // still unknown.
+  EXPECT_FALSE(IsKnownMsgType(12));
   EXPECT_FALSE(IsKnownMsgType(13));
   EXPECT_FALSE(IsKnownMsgType(63));
   EXPECT_FALSE(IsKnownMsgType(77));

@@ -266,9 +266,9 @@ TEST(ThreadPoolShardTest, NestedRunShardsFromWorkerDoesNotDeadlock) {
   EXPECT_EQ(inner_total.load(), 24);
 }
 
-TEST(ThreadPoolShardTest, TraceContextReachesEveryShard) {
+TEST(ThreadPoolShardTest, TraceIdReachesEveryShard) {
   // Shards observe the caller's trace id whether they ran on the caller or
-  // on a helper (helper tickets are wrapped by CaptureTraceContext).
+  // on a helper (helper tickets are wrapped by CaptureTraceId).
   ThreadPool pool(4);
   constexpr std::uint64_t kTraceId = 7777;
   TraceIdScope scope(kTraceId);
@@ -323,11 +323,11 @@ TEST(ThreadPoolShardTest, CostLedgerAggregatesAcrossHelpers) {
     pool.run_shards(4, 32, [](std::size_t) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       ObsAdd("discover.validator.calls", 1);
-      ObsAdd("partition.cache_hits", 2);
+      ObsAdd("partition.intersections", 2);
     });
   }
   EXPECT_EQ(ledger.validations, 32);
-  EXPECT_EQ(ledger.cache_hits, 64);
+  EXPECT_EQ(ledger.partitions_built, 64);
   // The scope charges the caller's thread clock; helper CPU arrives as
   // pool.shard_cpu_ns deltas. Both are >= 0 and summed into cpu_ns.
   EXPECT_GE(ledger.cpu_ns, 0);

@@ -239,9 +239,10 @@ TEST(LiveStorePropagationTest, BatchTreeHasQueueWaitAndBatchSpans) {
 
 TEST(WirePropagationTest, ClientTraceIdSpansEveryServerLayer) {
   // The full causal chain over the wire: a TraceIdScope on the client
-  // thread stamps the trace envelope, and every server-side layer — poll
-  // loop, ops pool, job scheduler, live store — must tag its spans with
-  // that id, so one merged Chrome trace shows the request end to end.
+  // thread stamps the request frame's trace id, and every server-side
+  // layer — poll loop, ops pool, job scheduler, live store — must tag its
+  // spans with that id, so one merged Chrome trace shows the request end
+  // to end.
   MetricsRegistry metrics;
   DatasetRegistry datasets(&metrics);
   JobScheduler scheduler(&datasets, &metrics, {.num_threads = 2});

@@ -22,17 +22,19 @@ that only exist across files:
       manifest renders (--fix regenerates it), that every name literal at an
       obs call site is registered, that every registered name is actually
       referenced somewhere (drift: a typo'd counter can no longer silently
-      fork a series), that manifest names obey the layer.noun[_verb] grammar
-      (shared with check_invariants.py via obs_grammar.py), and that
+      fork a series; a name src/ no longer uses may be kept only for the
+      one file outside src/ its "reader" field names, and only while that
+      file references it), that manifest names obey the layer.noun[_verb]
+      grammar (shared with check_invariants.py via obs_grammar.py), and that
       subsystem prefix rules (net., query.) hold for schema-constant
       references, which the string-literal linter cannot see.
 
   Pass 3 — codec exhaustiveness.  For the enums named in layers.json
-      ("exhaustive_enums": wire MessageType/ErrCode/StreamEndReason, job
+      ("exhaustive_enums": wire MsgType/ErrCode/StreamEndReason, job
       states, ...), every switch over the enum must name every enumerator
       explicitly — a `default:` label does not excuse a missing case, so
-      adding a v5 frame type without confronting every version-parameterized
-      codec fails this gate instead of becoming a runtime protocol error.
+      adding a frame type without confronting every switch that routes
+      frames fails this gate instead of becoming a runtime protocol error.
 
 Suppress one occurrence with `// analyze-allow: <rule>` on the offending
 line (rules: layering, include-cycle, obs-schema, exhaustive).
@@ -686,12 +688,22 @@ def pass_schema(tree, manifest, disk_header, disk_header_path=GEN_HEADER_REL):
                         f'start with "{prefix}" (obs_grammar.PREFIX_RULES)'))
 
     for name in sorted(exact):
-        if name not in used:
+        if name in used:
+            continue
+        reader = exact[name].get("reader")
+        if reader is None:
             findings.append(
                 Finding(loc, 1, "obs-schema",
                         f'registered name "{name}" is never referenced in '
                         "src/ (neither as a literal nor via "
                         f"{mangle(name)}); delete it or wire it up"))
+        elif mangle(name) not in {t.text for t in tokenize(tree.get(reader, ""))
+                                  if t.kind == "ident"}:
+            findings.append(
+                Finding(loc, 1, "obs-schema",
+                        f'registered name "{name}" is kept for its reader '
+                        f"{reader}, which does not reference {mangle(name)}; "
+                        "delete it"))
     for regex, entry in patterns:
         if entry["witness"] not in all_strings:
             findings.append(
@@ -917,6 +929,14 @@ def run(root, config_dir, fix=False, dump_names=False):
                 f.write(rendered)
             print(f"analyze --fix: wrote {header_path}")
         disk_header = rendered
+    # A name src/ no longer references may be kept for one reader outside
+    # src/ (its "reader" field); load that file so the pass can verify it.
+    for entry in manifest.get("names", []):
+        reader = entry.get("reader")
+        reader_path = os.path.join(root, reader or "")
+        if reader and reader not in tree and os.path.isfile(reader_path):
+            with open(reader_path, encoding="utf-8", errors="replace") as f:
+                tree[reader] = f.read()
     findings.extend(pass_schema(tree, manifest, disk_header))
 
     # Pass 3: switch exhaustiveness.
@@ -1031,6 +1051,30 @@ FIXTURES = [
          "names": [
              {"name": "mid.widgets", "kind": "counter"},
              {"name": "mid.orphans", "kind": "counter"},
+         ],
+         "patterns": [],
+     }), 1, {"obs-schema"}),
+    ("schema: name kept for a reader that references it passes",
+     lambda: _schema({
+         "src/mid/m.cc": 'void f() { ObsAdd("mid.widgets"); }\n',
+         "bench/r.cc": 'long n = counter(kObsMidOrphans);\n',
+     }, {
+         "names": [
+             {"name": "mid.widgets", "kind": "counter"},
+             {"name": "mid.orphans", "kind": "counter",
+              "reader": "bench/r.cc"},
+         ],
+         "patterns": [],
+     }), 0, set()),
+    ("schema: name kept for a reader that no longer references it fires",
+     lambda: _schema({
+         "src/mid/m.cc": 'void f() { ObsAdd("mid.widgets"); }\n',
+         "bench/r.cc": '// kObsMidOrphans\nlong n = 0;\n',
+     }, {
+         "names": [
+             {"name": "mid.widgets", "kind": "counter"},
+             {"name": "mid.orphans", "kind": "counter",
+              "reader": "bench/r.cc"},
          ],
          "patterns": [],
      }), 1, {"obs-schema"}),
