@@ -109,10 +109,12 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/net_server_test
 # cost_ledger_test covers the thread-local sink install/forward/restore.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/net_http_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/cost_ledger_test
-# parallel_discovery_test runs the sharded DHyFD/HyFD validators and the
-# query engine's full-discovery path under real concurrency: the parallel ==
-# sequential cover equivalence is asserted here with TSan watching the
-# help-first shard claims and the obs-delta relay.
+# parallel_discovery_test runs the sharded DHyFD/HyFD validators, the
+# query engine's full-discovery path and the sharded top-k lattice walk
+# (answers, scores and QueryStats at degrees 1, 2, 4) under real
+# concurrency: the parallel == sequential equivalence is asserted here with
+# TSan watching the help-first shard claims, the obs-delta relay, and the
+# one Deadline every shard polls under a time limit.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_discovery_test
 # parallel_ranking_test shards the rank stage's per-FD partitions over a
 # pool: each FD scores into its own slot and marks redundant cells in one

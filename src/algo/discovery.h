@@ -21,9 +21,10 @@ class ThreadPool;
 /// and ignore the rest:
 ///
 ///   max_lhs, epsilon     TANE and DHyFD
-///   time_limit_seconds   every algorithm
-///   threads, pool        HyFD and DHyFD, and the rank stage after them (the
-///                        Profiler's, the query engine's full-cover path)
+///   time_limit_seconds   every algorithm, and the top-k walk
+///   threads, pool        HyFD and DHyFD, the rank stage after them (the
+///                        Profiler's, the query engine's full-cover path),
+///                        and the query engine's top-k walk
 struct DiscoveryConfig {
   /// Precise LHS arity bound (0 = unbounded): every FD with at most max_lhs
   /// LHS attributes is validated and emitted, nothing larger is explored, so
@@ -40,10 +41,10 @@ struct DiscoveryConfig {
   /// sequential). Effective only with a pool; parallel runs return covers
   /// bit-identical to sequential ones (DESIGN.md, "Parallel discovery").
   int threads = 1;
-  /// Pool the validation/sampling/DDM shards and the rank stage's per-FD
-  /// shards fan out over. Not owned; may be shared with other jobs (shards
-  /// are claimed help-first, so a busy pool degrades to sequential instead
-  /// of deadlocking).
+  /// Pool the validation/sampling/DDM shards, the rank stage's per-FD
+  /// shards and the top-k walk's per-level shards fan out over. Not owned;
+  /// may be shared with other jobs (shards are claimed help-first, so a
+  /// busy pool degrades to sequential instead of deadlocking).
   ThreadPool* pool = nullptr;
 };
 

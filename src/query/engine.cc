@@ -96,7 +96,7 @@ QueryResult QueryEngine::execute(const Relation& r,
   }
 
   QueryResult result =
-      q.top_k > 0 ? TopKDiscover(*target, q, config_.time_limit_seconds)
+      q.top_k > 0 ? TopKDiscover(*target, q, config_)
                   : FullDiscoverRanked(*target, q, config_);
 
   if (projected) {

@@ -18,10 +18,10 @@ namespace dhyfd {
 /// discovery on a projected copy of the relation; result attribute ids are
 /// mapped back to the original schema.
 ///
-/// The engine's config supplies the deadline and, for the full-discovery
-/// path, the threads and pool (the ranked answer is bit-identical at any
-/// degree; the top-k lattice walk is sequential and ignores them). Each
-/// query's own epsilon and max_lhs replace the config's.
+/// The engine's config supplies the deadline, threads and pool to both
+/// paths: the full-discovery path shards DHyFD and the rank stage, the top-k
+/// walk shards each lattice level. The ranked answer is bit-identical at any
+/// degree. Each query's own epsilon and max_lhs replace the config's.
 class QueryEngine {
  public:
   explicit QueryEngine(DiscoveryConfig config = {}) : config_(config) {}

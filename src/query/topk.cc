@@ -1,8 +1,11 @@
 #include "query/topk.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/obs_schema.gen.h"
@@ -10,17 +13,19 @@
 #include "partition/partition_ops.h"
 #include "ranking/redundancy.h"
 #include "util/deadline.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace dhyfd {
 
 namespace {
 
+constexpr std::size_t kChunksPerThread = 8;
+
 struct LevelEntry {
   AttributeSet attrs;
   AttributeSet cplus;  // TANE's C+(X): still-possible RHS attributes
   StrippedPartition partition;
-  int64_t error = 0;
 };
 
 using Level = std::vector<LevelEntry>;
@@ -94,6 +99,82 @@ class TopKHeap {
   std::uint32_t k_;
 };
 
+/// What one chunk of a level loop produced. Chunks are contiguous index
+/// ranges, so concatenating their results in chunk order reproduces the
+/// sequential loop's output order.
+struct ChunkResult {
+  Level entries;              // pair loop: the chunk's children, in pair order
+  std::vector<RankedFd> fds;  // validation: its valid FDs, in entry order
+  int64_t validations = 0;
+  int64_t pruned_epsilon = 0;
+  bool timed_out = false;
+};
+
+/// Runs the walk's per-level loops over the job's pool. A loop over [0, n)
+/// is cut into min(n, 8 x threads) contiguous chunks — over-split as in the
+/// rank stage, since a pair's cost follows its partitions' sizes — and
+/// run_shards starts up to `threads` workers that claim chunks from a shared
+/// cursor. Each worker owns one Scratch, so no two running shards share an
+/// intersector or removal counter, and a walk builds at most `threads` of
+/// each. Without a pool, or at threads <= 1, the loop is one chunk on the
+/// caller.
+class LevelRunner {
+ public:
+  struct Scratch {
+    explicit Scratch(const Relation& r) : intersector(r.num_rows()), approx(r) {}
+    PartitionIntersector intersector;
+    ApproxErrorCalculator approx;
+  };
+
+  LevelRunner(const Relation& r, const DiscoveryConfig& config)
+      : r_(r),
+        pool_(config.pool),
+        threads_(config.pool != nullptr ? std::max(1, config.threads) : 1),
+        scratch_(static_cast<std::size_t>(threads_)) {}
+
+  /// Calls body(scratch, chunk_result, begin, end) once per chunk and
+  /// returns the chunk results in chunk order.
+  template <typename Body>
+  std::vector<ChunkResult> run(std::size_t n, const Body& body) {
+    if (n == 0) return {};
+    const std::size_t chunks =
+        threads_ > 1
+            ? std::min(n, kChunksPerThread * static_cast<std::size_t>(threads_))
+            : 1;
+    std::vector<ChunkResult> out(chunks);
+    if (chunks == 1) {
+      body(scratch(0), out[0], std::size_t{0}, n);
+      return out;
+    }
+    std::atomic<std::size_t> next{0};
+    pool_->run_shards(
+        threads_, std::min(chunks, static_cast<std::size_t>(threads_)),
+        [&](std::size_t worker) {
+          Scratch& s = scratch(worker);
+          for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
+               c < chunks; c = next.fetch_add(1, std::memory_order_relaxed)) {
+            auto [begin, end] = ThreadPool::ShardRange(n, chunks, c);
+            body(s, out[c], begin, end);
+          }
+        },
+        kObsQueryShard);
+    return out;
+  }
+
+ private:
+  // Worker w alone touches slot w, and the run_shards join orders one
+  // level's use before the next's, so building on first use needs no lock.
+  Scratch& scratch(std::size_t worker) {
+    if (!scratch_[worker]) scratch_[worker] = std::make_unique<Scratch>(r_);
+    return *scratch_[worker];
+  }
+
+  const Relation& r_;
+  ThreadPool* pool_;
+  int threads_;
+  std::vector<std::unique_ptr<Scratch>> scratch_;
+};
+
 /// Candidate FDs still reachable from a level's surviving entries; the
 /// frontier size credited to whichever bound cut the traversal.
 int64_t FrontierSize(const Level& pruned) {
@@ -105,101 +186,96 @@ int64_t FrontierSize(const Level& pruned) {
 }  // namespace
 
 QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
-                         double time_limit_seconds) {
+                         const DiscoveryConfig& config) {
   Timer timer;
-  Deadline deadline(time_limit_seconds);
+  Deadline deadline(config.time_limit_seconds);
   QueryResult result;
   const int m = r.num_cols();
-  const int64_t empty_error = r.num_rows() > 0 ? r.num_rows() - 1 : 0;
   const AttributeSet all = AttributeSet::full(m);
   const int64_t budget = ApproxRemovalBudget(q.epsilon, r.num_rows());
   const bool approx = budget > 0;
-  ApproxErrorCalculator approx_calc(r);
-  PartitionIntersector intersector(r.num_rows());
+  LevelRunner runner(r, config);
   TopKHeap heap(q.top_k);
 
-  auto offer = [&](const Fd& fd, const StrippedPartition& pi_lhs) {
-    FdRedundancy red = FdRedundancyFromPartition(r, fd, pi_lhs);
-    heap.offer(RankedFd{fd, RedundancyCount(red, q.ranking_mode)});
-  };
-
-  // Level 1: single attributes, plus the {} -> A candidates.
-  Level level;
+  // Level 1: single attributes, validated as {} -> A against the whole
+  // relation's partition like any deeper X - A -> A.
+  Level level(static_cast<std::size_t>(m));
   for (AttrId a = 0; a < m; ++a) {
-    LevelEntry e;
-    e.attrs = AttributeSet::single(a);
-    e.cplus = all;
-    e.partition = BuildAttributePartition(r, a);
-    e.error = e.partition.error();
-    level.push_back(std::move(e));
+    level[a].attrs = AttributeSet::single(a);
+    level[a].cplus = all;
   }
-  CplusStore cplus_store(m);
-  const StrippedPartition whole = StrippedPartition::whole(r.num_rows());
-  for (LevelEntry& e : level) {
-    ++result.stats.validations;
-    AttrId a = e.attrs.first();
-    bool valid = approx ? approx_calc.removals(whole, a) <= budget
-                        : e.error == empty_error;
-    if (valid) {
-      offer(Fd(AttributeSet(), a), whole);
-      e.cplus.reset(a);
-      if (!approx) e.cplus &= e.attrs;  // exact-only R - X sweep (cf. tane.cc)
-    } else {
-      ++result.stats.pruned_epsilon;
+  runner.run(level.size(), [&](LevelRunner::Scratch&, ChunkResult&,
+                               std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      level[i].partition =
+          BuildAttributePartition(r, static_cast<AttrId>(i));
     }
-    cplus_store.put(e.attrs, e.cplus);
-  }
+  });
+  CplusStore cplus_store(m);
 
-  // Previous level's errors and partitions; the partitions both answer the
-  // approximate error tests and score valid candidates (the FD's LHS is the
-  // previous-level set X - A).
-  std::unordered_map<AttributeSet, int64_t, AttributeSetHash> prev_errors;
-  std::unordered_map<AttributeSet, StrippedPartition, AttributeSetHash>
-      prev_partitions;
+  // The previous level's surviving entries and their index: their
+  // partitions answer the error tests (error(X - A) == error(X) exactly when
+  // X - A -> A holds) and score valid candidates, whose LHS is the
+  // previous-level set X - A. Level 1's predecessor is {} with the whole
+  // relation as one class.
+  Level prev(1);
+  prev[0].partition = StrippedPartition::whole(r.num_rows());
+  LevelIndex prev_index{{AttributeSet(), 0}};
 
   int level_num = 1;
   while (!level.empty() && !result.stats.timed_out) {
     TraceSpan level_span(kObsQueryLatticeLevel);
     result.stats.levels = level_num;
-    if (level_num >= 2) {
-      for (LevelEntry& e : level) {
+
+    // Validate: each entry tests X - A -> A for A in X & C+(X) and updates
+    // only its own C+; the valid FDs are offered after the join.
+    auto validate = [&](LevelRunner::Scratch& s, ChunkResult& out,
+                        std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
         if (deadline.expired()) {
-          result.stats.timed_out = true;
-          break;
+          out.timed_out = true;
+          return;
         }
+        LevelEntry& e = level[i];
         AttributeSet check = e.attrs & e.cplus;
         check.for_each([&](AttrId a) {
           AttributeSet x_minus_a = e.attrs;
           x_minus_a.reset(a);
-          auto it = prev_errors.find(x_minus_a);
-          if (it == prev_errors.end()) return;  // pruned parent
-          ++result.stats.validations;
-          bool valid =
-              approx
-                  ? approx_calc.removals(prev_partitions.at(x_minus_a), a) <=
-                        budget
-                  : it->second == e.error;
+          auto it = prev_index.find(x_minus_a);
+          if (it == prev_index.end()) return;  // pruned parent
+          ++out.validations;
+          const StrippedPartition& pi = prev[it->second].partition;
+          bool valid = approx ? s.approx.removals(pi, a) <= budget
+                              : pi.error() == e.partition.error();
           if (valid) {
-            offer(Fd(x_minus_a, a), prev_partitions.at(x_minus_a));
+            Fd fd(x_minus_a, a);
+            out.fds.push_back(RankedFd{
+                fd, RedundancyCount(FdRedundancyFromPartition(r, fd, pi),
+                                    q.ranking_mode)});
             e.cplus.reset(a);
-            if (!approx) e.cplus -= all - e.attrs;
+            if (!approx) e.cplus -= all - e.attrs;  // exact-only R - X sweep
           } else {
-            ++result.stats.pruned_epsilon;
+            ++out.pruned_epsilon;
           }
         });
-        cplus_store.put(e.attrs, e.cplus);
       }
+    };
+    for (ChunkResult& chunk : runner.run(level.size(), validate)) {
+      result.stats.validations += chunk.validations;
+      result.stats.pruned_epsilon += chunk.pruned_epsilon;
+      if (chunk.timed_out) result.stats.timed_out = true;
+      for (RankedFd& f : chunk.fds) heap.offer(std::move(f));
     }
+    for (const LevelEntry& e : level) cplus_store.put(e.attrs, e.cplus);
 
-    // Prune: empty C+, and exact keys (emitted through the key rule with an
-    // empty pi_X, so they score 0 — "zero counts hint at keys").
+    // Prune: empty C+, and exact keys (emitted through the key rule; a
+    // key's pi_X is empty, so they score 0 — "zero counts hint at keys").
     const bool emit_key_fds = q.max_lhs == 0 || level_num <= q.max_lhs;
     Level pruned;
     LevelIndex pruned_index;
-    const StrippedPartition empty_partition;
     for (LevelEntry& e : level) {
       if (e.cplus.empty()) continue;
-      if (e.error == 0) {
+      if (e.partition.error() == 0) {
         if (!emit_key_fds) continue;
         AttributeSet extra = e.cplus - e.attrs;
         extra.for_each([&](AttrId a) {
@@ -213,7 +289,7 @@ QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
           });
           if (emit) {
             ++result.stats.validations;
-            offer(Fd(e.attrs, a), empty_partition);
+            heap.offer(RankedFd{Fd(e.attrs, a), 0});
           }
         });
         continue;
@@ -244,28 +320,40 @@ QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
       }
     }
 
-    prev_errors.clear();
-    for (const LevelEntry& e : pruned) prev_errors.emplace(e.attrs, e.error);
-
+    // Generate: entry i of a block pairs with each later member j. The
+    // (block, i) rows of every block, in block order, form one index range;
+    // a row runs its pairs in j order, each doing its subset/C+ check and
+    // its intersection on its own, so the chunks' children concatenate into
+    // `next` in the sequential pair order. Rows rather than single pairs
+    // keep the range O(level) instead of O(pairs), and since a block's rows
+    // shrink as i grows, workers claiming chunks in order take the heavy
+    // rows first.
     std::unordered_map<AttributeSet, std::vector<int>, AttributeSetHash> blocks;
     for (int i = 0; i < static_cast<int>(pruned.size()); ++i) {
       AttributeSet prefix = pruned[i].attrs;
       prefix.reset(pruned[i].attrs.last());
       blocks[prefix].push_back(i);
     }
-
-    Level next;
-    for (auto& [prefix, members] : blocks) {
+    std::vector<std::pair<const std::vector<int>*, std::size_t>> rows;
+    for (const auto& [prefix, members] : blocks) {
       (void)prefix;
-      if (result.stats.timed_out) break;
-      for (size_t i = 0; i < members.size(); ++i) {
-        for (size_t j = i + 1; j < members.size(); ++j) {
+      for (std::size_t i = 0; i + 1 < members.size(); ++i) {
+        rows.emplace_back(&members, i);
+      }
+    }
+    if (result.stats.timed_out) rows.clear();
+
+    auto generate = [&](LevelRunner::Scratch& s, ChunkResult& out,
+                        std::size_t begin, std::size_t end) {
+      for (std::size_t row = begin; row < end; ++row) {
+        const auto& [members, i] = rows[row];
+        const LevelEntry& a = pruned[(*members)[i]];
+        for (std::size_t j = i + 1; j < members->size(); ++j) {
           if (deadline.expired()) {
-            result.stats.timed_out = true;
-            break;
+            out.timed_out = true;
+            return;
           }
-          const LevelEntry& a = pruned[members[i]];
-          const LevelEntry& b = pruned[members[j]];
+          const LevelEntry& b = pruned[(*members)[j]];
           AttributeSet xy = a.attrs | b.attrs;
           bool ok = true;
           AttributeSet cplus = all;
@@ -281,20 +369,25 @@ QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
             }
           });
           if (!ok || cplus.empty()) continue;
-          LevelEntry e;
+          LevelEntry& e = out.entries.emplace_back();
           e.attrs = xy;
           e.cplus = cplus;
-          intersector.intersect(a.partition, b.partition, e.partition);
-          e.error = e.partition.error();
-          next.push_back(std::move(e));
+          s.intersector.intersect(a.partition, b.partition, e.partition);
         }
-        if (result.stats.timed_out) break;
       }
+    };
+    std::vector<ChunkResult> made = runner.run(rows.size(), generate);
+    Level next;
+    std::size_t total = 0;
+    for (const ChunkResult& chunk : made) total += chunk.entries.size();
+    next.reserve(total);
+    for (ChunkResult& chunk : made) {
+      if (chunk.timed_out) result.stats.timed_out = true;
+      for (LevelEntry& e : chunk.entries) next.push_back(std::move(e));
     }
-    prev_partitions.clear();
-    for (LevelEntry& e : pruned) {
-      prev_partitions.emplace(e.attrs, std::move(e.partition));
-    }
+
+    prev = std::move(pruned);
+    prev_index = std::move(pruned_index);
     level = std::move(next);
     ++level_num;
   }

@@ -1,6 +1,7 @@
 #ifndef DHYFD_QUERY_TOPK_H_
 #define DHYFD_QUERY_TOPK_H_
 
+#include "algo/discovery.h"
 #include "query/query.h"
 #include "relation/relation.h"
 
@@ -21,10 +22,18 @@ namespace dhyfd {
 /// smaller LHS than any future candidate, and ties rank small-LHS-first
 /// (see DESIGN.md "Rank-driven queries" for the full argument).
 ///
+/// Each level's loops — column partitions at level 1, candidate validation,
+/// and the same-prefix pair loop with its partition intersections — run
+/// over config.pool at config.threads; pruning, the key rule, the bound and
+/// block grouping stay on the caller. The answer and every QueryStats
+/// counter are identical at any degree (DESIGN.md "Rank-driven queries").
+/// config.time_limit_seconds is the deadline; q's epsilon and max_lhs
+/// replace the config's.
+///
 /// `r` must already be projected to the query's column scope; attribute ids
 /// in the result refer to r's schema.
 QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
-                         double time_limit_seconds);
+                         const DiscoveryConfig& config = {});
 
 }  // namespace dhyfd
 

@@ -1,6 +1,7 @@
 #ifndef DHYFD_UTIL_DEADLINE_H_
 #define DHYFD_UTIL_DEADLINE_H_
 
+#include <atomic>
 #include <chrono>
 
 #include "util/cancellation.h"
@@ -16,6 +17,11 @@ namespace dhyfd {
 /// CancelScope in util/cancellation.h): a cancelled token makes expired()
 /// fire immediately, so the service layer's job cancellation rides the same
 /// polls as the time limit.
+///
+/// expired() may be polled from many threads at once (the sharded
+/// validation loops share one Deadline per run), so its cache is a relaxed
+/// atomic: it only ever goes false -> true, and a poll that misses a
+/// concurrent store just reads the clock itself.
 class Deadline {
  public:
   explicit Deadline(double seconds)
@@ -25,17 +31,18 @@ class Deadline {
                                 std::chrono::duration<double>(seconds > 0 ? seconds : 0))) {}
 
   bool expired() const {
-    if (expired_cache_) return true;
+    if (expired_cache_.load(std::memory_order_relaxed)) return true;
     if (cancel_ != nullptr && cancel_->cancelled()) {
-      expired_cache_ = true;
+      expired_cache_.store(true, std::memory_order_relaxed);
       return true;
     }
     if (!enabled_) return false;
     // steady_clock::now() is a ~20 ns vDSO call on Linux: cheap enough to
     // poll unconditionally, and call sites vary wildly in how much work
     // sits between polls (stride-caching went stale on slow call sites).
-    expired_cache_ = Clock::now() >= end_;
-    return expired_cache_;
+    if (Clock::now() < end_) return false;
+    expired_cache_.store(true, std::memory_order_relaxed);
+    return true;
   }
 
  private:
@@ -44,7 +51,7 @@ class Deadline {
   bool enabled_;
   const CancelToken* cancel_;
   Clock::time_point end_;
-  mutable bool expired_cache_ = false;
+  mutable std::atomic<bool> expired_cache_{false};
 };
 
 }  // namespace dhyfd

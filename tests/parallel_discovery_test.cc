@@ -2,20 +2,25 @@
 // return bit-identical covers (same FDs, same order) to their sequential
 // counterparts at every degree, across the same randomized sweep the
 // cross-algorithm property tests use — including the approximate (epsilon >
-// 0), arity-bounded, and query-engine paths. This binary runs under the
-// TSan CI leg, so the determinism claims are checked race-free, not just
-// equal.
+// 0), arity-bounded, and query-engine paths, and the top-k lattice walk at
+// degrees {1, 2, 4} with the same answers, scores and work counters. This
+// binary runs under the TSan CI leg, so the determinism claims are checked
+// race-free, not just equal.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "algo/dhyfd.h"
 #include "algo/hyfd.h"
+#include "datagen/benchmark_data.h"
 #include "fd/cover.h"
 #include "query/engine.h"
+#include "query/topk.h"
+#include "relation/encoder.h"
 #include "test_util.h"
 #include "util/thread_pool.h"
 
@@ -164,25 +169,119 @@ TEST(ParallelQueryTest, EpsilonQueryIdenticalAtAnyDegree) {
   }
 }
 
-TEST(ParallelQueryTest, TopKPathIgnoresParallelismButStillMatches) {
-  // The top-k lattice walk is sequential by design; setting a degree must
-  // neither change its answer nor touch the pool.
-  Relation r = RandomRelation(9, 60, 5, 3, 0.0);
-  DiscoveryQuery q;
-  q.top_k = 3;
-  QueryResult sequential = QueryEngine().execute(r, q);
+/// Same FDs, same scores, same order, and the same work counters.
+void ExpectIdenticalQueryResults(const QueryResult& sequential,
+                                 const QueryResult& parallel,
+                                 const std::string& label) {
+  ASSERT_EQ(sequential.fds.size(), parallel.fds.size()) << label;
+  for (std::size_t i = 0; i < sequential.fds.size(); ++i) {
+    EXPECT_TRUE(sequential.fds[i].fd == parallel.fds[i].fd)
+        << label << " diverges at rank " << i << ": sequential "
+        << sequential.fds[i].fd.to_string() << " vs parallel "
+        << parallel.fds[i].fd.to_string();
+    EXPECT_EQ(sequential.fds[i].score, parallel.fds[i].score)
+        << label << " rank " << i;
+  }
+  const QueryStats& a = sequential.stats;
+  const QueryStats& b = parallel.stats;
+  EXPECT_EQ(a.validations, b.validations) << label;
+  EXPECT_EQ(a.pruned_epsilon, b.pruned_epsilon) << label;
+  EXPECT_EQ(a.pruned_arity, b.pruned_arity) << label;
+  EXPECT_EQ(a.pruned_bound, b.pruned_bound) << label;
+  EXPECT_EQ(a.levels, b.levels) << label;
+  EXPECT_EQ(a.early_terminated, b.early_terminated) << label;
+  EXPECT_FALSE(b.timed_out) << label;
+}
 
+class TopKParallelSweep : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(TopKParallelSweep, WalkIdenticalAtAnyDegree) {
+  const SweepCase& c = GetParam();
+  Relation r = RandomRelation(c.seed, c.rows, c.cols, c.domain, c.null_rate);
+  struct Path {
+    std::string name;
+    DiscoveryQuery query;
+  };
+  std::vector<Path> paths(4);
+  paths[0].name = "exact";
+  paths[1].name = "epsilon";
+  paths[1].query.epsilon = 0.1;
+  paths[2].name = "max_lhs";
+  paths[2].query.max_lhs = 2;
+  paths[3].name = "scope";
+  paths[3].query.exclude_columns = {0};
+  const std::vector<AttrId> scope_cols = [&] {
+    std::vector<AttrId> cols;
+    for (AttrId a = 1; a < c.cols; ++a) cols.push_back(a);
+    return cols;
+  }();
+  const Relation scoped = ProjectRelation(r, scope_cols);
+
+  for (int degree : {1, 2, 4}) {
+    ThreadPool pool(degree);
+    DiscoveryConfig config;
+    config.threads = degree;
+    config.pool = &pool;
+    for (const Path& path : paths) {
+      const Relation& walked = path.name == "scope" ? scoped : r;
+      const std::size_t cover_size =
+          QueryEngine().execute(r, path.query).fds.size();
+      for (std::uint32_t k :
+           {1u, 3u, 10u, static_cast<std::uint32_t>(cover_size) + 1}) {
+        DiscoveryQuery q = path.query;
+        q.top_k = k;
+        const std::string label = path.name + " p=" + std::to_string(degree) +
+                                  " k=" + std::to_string(k) +
+                                  " seed=" + std::to_string(c.seed);
+        ExpectIdenticalQueryResults(TopKDiscover(walked, q),
+                                    TopKDiscover(walked, q, config),
+                                    "walk " + label);
+        ExpectIdenticalQueryResults(QueryEngine().execute(r, q),
+                                    QueryEngine(config).execute(r, q),
+                                    "engine " + label);
+      }
+    }
+    // The walk really fanned out: a fresh pool's idle workers were enlisted.
+    if (degree > 1) {
+      EXPECT_GT(pool.tasks_executed(), 0) << "p=" << degree;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, TopKParallelSweep, ::testing::ValuesIn(SweepCases()),
+    [](const ::testing::TestParamInfo<SweepCase>& info) {
+      return "s" + std::to_string(info.param.seed);
+    });
+
+TEST(ParallelDeadlineTest, ShardsPollOneDeadlineRaceFree) {
+  // A time limit makes every shard poll the run's one Deadline, whose
+  // expiry cache is written on each poll; under TSan this pins that the
+  // polls from concurrent shards do not race. The limit never fires, so the
+  // answers must still equal the unlimited sequential ones.
+  Relation r = EncodeRelation(GenerateBenchmark("uniprot", 1500)).relation;
   ThreadPool pool(4);
   DiscoveryConfig config;
+  config.time_limit_seconds = 600;
   config.threads = 4;
   config.pool = &pool;
-  QueryResult parallel = QueryEngine(config).execute(r, q);
 
-  ASSERT_EQ(sequential.fds.size(), parallel.fds.size());
-  for (std::size_t i = 0; i < sequential.fds.size(); ++i) {
-    EXPECT_TRUE(sequential.fds[i].fd == parallel.fds[i].fd) << i;
-  }
-  EXPECT_EQ(pool.tasks_executed(), 0);
+  DiscoveryResult dhyfd = Dhyfd({config}).discover(r);
+  EXPECT_FALSE(dhyfd.stats.timed_out);
+  ExpectIdenticalCovers(Dhyfd().discover(r).fds, dhyfd.fds, "dhyfd deadline");
+
+  DiscoveryResult hyfd = Hyfd({config}).discover(r);
+  EXPECT_FALSE(hyfd.stats.timed_out);
+  ExpectIdenticalCovers(Hyfd().discover(r).fds, hyfd.fds, "hyfd deadline");
+
+  // The top-k walk's shards poll the same way; lineitem's walk ends early
+  // (uniprot's would explore most of a 30-column lattice).
+  Relation tall = EncodeRelation(GenerateBenchmark("lineitem", 1500)).relation;
+  DiscoveryQuery q;
+  q.top_k = 5;
+  ExpectIdenticalQueryResults(QueryEngine().execute(tall, q),
+                              QueryEngine(config).execute(tall, q),
+                              "topk deadline");
 }
 
 }  // namespace
