@@ -7,7 +7,10 @@
 #                          header/dot drift gate, and a typo'd-constant smoke
 #                          that must FAIL to compile
 #   3. tier-1            — full -Werror build + every ctest
-#   4. bench             — build-only compile of every bench/ harness
+#   4. bench             — build-only compile of every bench/ harness, plus
+#                          bench_topk's gate on a small grid (same answer
+#                          and counters at degrees 1 and 4, validations
+#                          monotone in k)
 #   5. tsan              — concurrency tests under ThreadSanitizer, including
 #                          the net server round-trip + backpressure suite
 #   6. asan              — partition-arena tests, the wire-framing
@@ -80,6 +83,11 @@ for src in bench/bench_*.cc; do
   BENCH_TARGETS+=("$(basename "$src" .cc)")
 done
 cmake --build build -j "$JOBS" --target "${BENCH_TARGETS[@]}"
+# The top-k walk runs its levels on the job's pool: bench_topk exits nonzero
+# if any degree's answer or QueryStats differ from degree 1's, or if
+# validations grow as k tightens. This grid takes about 0.1 s.
+./build/bench/bench_topk --rows=600 --ks=1,8 --eps=0,0.05 --threads=1,4 \
+  --reps=1 | grep -E "DIVERGES|NON-MONOTONE|identical|monotone"
 
 echo
 echo "=== tsan: concurrency targets under ThreadSanitizer ==="

@@ -1,15 +1,11 @@
 #include "algo/ddm.h"
 
-#include <algorithm>
-
 #include "obs/obs.h"
 #include "obs/obs_schema.gen.h"
-#include "util/mutex.h"
-#include "util/thread_pool.h"
 
 namespace dhyfd {
 
-Ddm::Ddm(const Relation& r) : rel_(r), refiner_(r) {
+Ddm::Ddm(const Relation& r) : rel_(r) {
   const int m = r.num_cols();
   static_partitions_.reserve(m);
   attribute_supports_.reserve(m);
@@ -30,10 +26,9 @@ AttributeSet Ddm::attrs_for_id(int id) const {
 }
 
 int64_t Ddm::update(const std::vector<ExtendedFdTree::Node*>& level_nodes,
-                    ExtendedFdTree& tree, ThreadPool* pool, int parallelism) {
+                    ExtendedFdTree& tree, RefinerRunner& runner) {
   const int m = rel_.num_cols();
   std::vector<Entry> fresh(level_nodes.size());
-  int64_t refinements = 0;
 
   // Capture the nodes' current partition references before wiping ids:
   // Algorithm 3 starts each refinement from the node's previous partition.
@@ -50,7 +45,7 @@ int64_t Ddm::update(const std::vector<ExtendedFdTree::Node*>& level_nodes,
   // level's nodes root disjoint subtrees, so the id propagation below writes
   // disjoint node sets.
   auto rebuild_node = [&](size_t idx, PartitionRefiner& refiner,
-                          int64_t& shard_refinements) {
+                          int64_t& chunk_refinements) {
     ExtendedFdTree::Node* node = level_nodes[idx];
     AttributeSet path = tree.path_of(node);
     // Algorithm 3 steps 7-9: start from the node's current partition — the
@@ -70,7 +65,7 @@ int64_t Ddm::update(const std::vector<ExtendedFdTree::Node*>& level_nodes,
     entry.partition = *start;
     AttributeSet todo = path - start_attrs;
     todo.for_each([&](AttrId b) {
-      shard_refinements += entry.partition.size();
+      chunk_refinements += entry.partition.size();
       refiner.refine_inplace(entry.partition, b);
     });
     int new_id = m + static_cast<int>(idx);
@@ -85,28 +80,16 @@ int64_t Ddm::update(const std::vector<ExtendedFdTree::Node*>& level_nodes,
     }
   };
 
-  if (pool != nullptr && parallelism > 1 && level_nodes.size() > 1) {
-    std::size_t shards = std::min(level_nodes.size(),
-                                  static_cast<std::size_t>(parallelism));
-    std::vector<int64_t> shard_refinements(shards, 0);
-    Mutex totals_mu;
-    pool->parallel_for(
-        level_nodes.size(), parallelism,
-        [&](size_t shard, size_t begin, size_t end) {
-          PartitionRefiner refiner(rel_);
-          int64_t local = 0;
-          for (size_t idx = begin; idx < end; ++idx) {
-            rebuild_node(idx, refiner, local);
-          }
-          MutexLock lock(&totals_mu);
-          shard_refinements[shard] = local;
-        },
-        kObsDiscoverShard);
-    for (int64_t r : shard_refinements) refinements += r;
-  } else {
-    for (size_t idx = 0; idx < level_nodes.size(); ++idx) {
-      rebuild_node(idx, refiner_, refinements);
-    }
+  int64_t refinements = 0;
+  for (int64_t chunk : runner.run<int64_t>(
+           level_nodes.size(), kObsDiscoverShard,
+           [&](PartitionRefiner& refiner, int64_t& chunk_refinements,
+               size_t begin, size_t end) {
+             for (size_t idx = begin; idx < end; ++idx) {
+               rebuild_node(idx, refiner, chunk_refinements);
+             }
+           })) {
+    refinements += chunk;
   }
 
   dynamic_ = std::move(fresh);

@@ -4,14 +4,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "algo/validator.h"
 #include "fdtree/extended_fd_tree.h"
 #include "partition/partition_ops.h"
 #include "partition/stripped_partition.h"
 #include "relation/relation.h"
 
 namespace dhyfd {
-
-class ThreadPool;
 
 /// The paper's dynamic data manager (Section IV-E).
 ///
@@ -25,7 +24,6 @@ class Ddm {
   explicit Ddm(const Relation& r);
 
   const Relation& relation() const { return rel_; }
-  PartitionRefiner& refiner() { return refiner_; }
 
   const StrippedPartition& attribute_partition(AttrId a) const {
     return static_partitions_[a];
@@ -49,14 +47,12 @@ class Ddm {
   /// and the id is copied to all descendants. Returns the number of cluster
   /// refinements performed.
   ///
-  /// With a pool and parallelism > 1 the per-node refinements are sharded
-  /// over the pool: ids are pre-assigned by node index (so the rebuilt array
-  /// is identical to the sequential one), the level's nodes root disjoint
-  /// subtrees (so id propagation never races), and each shard leases its own
-  /// refiner.
+  /// The per-node refinements run on the job's `runner`, each chunk of nodes
+  /// with its worker's refiner: ids are pre-assigned by node index (so the
+  /// rebuilt array is identical at any degree) and the level's nodes root
+  /// disjoint subtrees (so id propagation never races).
   int64_t update(const std::vector<ExtendedFdTree::Node*>& level_nodes,
-                 ExtendedFdTree& tree, ThreadPool* pool = nullptr,
-                 int parallelism = 1);
+                 ExtendedFdTree& tree, RefinerRunner& runner);
 
   size_t memory_bytes() const;
   int dynamic_entries() const { return static_cast<int>(dynamic_.size()); }
@@ -68,7 +64,6 @@ class Ddm {
   };
 
   const Relation& rel_;
-  PartitionRefiner refiner_;
   std::vector<StrippedPartition> static_partitions_;
   std::vector<int64_t> attribute_supports_;
   std::vector<Entry> dynamic_;

@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "util/deadline.h"
 #include "util/memory.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace dhyfd {
@@ -34,16 +33,11 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   const int m = r.num_cols();
   const AttributeSet all = AttributeSet::full(m);
 
-  // Intra-job parallelism: shards fan out over the (shared) worker pool,
-  // help-first, with the calling thread always participating. Each shard
-  // gets its own refiner — the refiners' counting arenas are the only
-  // mutable state validation shares.
-  ThreadPool* pool = options_.config.pool;
-  const int par = pool != nullptr ? std::max(1, options_.config.threads) : 1;
-  std::vector<std::unique_ptr<PartitionRefiner>> shard_refiners;
-  for (int i = 0; i < (par > 1 ? par : 0); ++i) {
-    shard_refiners.push_back(std::make_unique<PartitionRefiner>(r));
-  }
+  // Intra-job parallelism: validation levels and DDM refreshes fan out over
+  // the job's pool, each worker with its own refiner — the refiners'
+  // counting arenas are the only mutable state those loops share.
+  RefinerRunner runner(options_.config.pool, options_.config.threads,
+                       [&r] { return std::make_unique<PartitionRefiner>(r); });
 
   // Algorithm 6 line 3: the DDM pre-computes every single-attribute
   // stripped partition.
@@ -63,7 +57,8 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
 
   // Lines 5-6: one-off sorted-neighborhood sampling, plus validating the
   // root FD against the whole relation (partition {r}).
-  NeighborhoodSampler sampler(r, ddm.static_partitions(), pool, par);
+  NeighborhoodSampler sampler(r, ddm.static_partitions(), options_.config.pool,
+                              options_.config.threads);
   std::vector<AttributeSet> violations;
   if (!approx) {
     TraceSpan span(kObsDiscoverSampling);
@@ -73,13 +68,14 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   result.stats.pairs_compared += sampler.pairs_compared();
   {
     StrippedPartition whole = StrippedPartition::whole(r.num_rows());
+    PartitionRefiner refiner(r);
     result.stats.validations += tree.root()->rhs.count();
     AttributeSet root_rhs = tree.root()->rhs;
     ValidationOutcome v =
         approx ? ValidateApproxWithPartition(r, AttributeSet(), root_rhs, whole,
-                                             AttributeSet(), ddm.refiner(), budget)
+                                             AttributeSet(), refiner, budget)
                : ValidateWithPartition(r, AttributeSet(), root_rhs, whole,
-                                       AttributeSet(), ddm.refiner());
+                                       AttributeSet(), refiner);
     result.stats.pairs_compared += v.pairs_checked;
     result.stats.invalidated += root_rhs.count() - v.valid_rhs.count();
     if (approx) {
@@ -111,20 +107,19 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   std::vector<ExtendedFdTree::Node*> candidates = tree.level_nodes(1);
 
   // Per-candidate validation body: candidates are independent (paper
-  // Alg. 4), so a contiguous range of them is the shard unit. Everything a
+  // Alg. 4), so a contiguous range of them is the chunk unit. Everything a
   // candidate writes is local (the node's own id re-pointing included —
-  // each node is visited by exactly one shard); the shared DDM is read-only
+  // each node is visited by exactly one chunk); the shared DDM is read-only
   // during a level.
-  auto validate_range = [&](const std::vector<ExtendedFdTree::Node*>& nodes,
-                            PartitionRefiner& refiner, size_t begin,
+  auto validate_chunk = [&](PartitionRefiner& refiner,
+                            LevelValidationResult& local, size_t begin,
                             size_t end) {
-    LevelValidationResult local;
     for (size_t i = begin; i < end; ++i) {
       if (deadline.expired()) {
         local.timed_out = true;
         break;
       }
-      ExtendedFdTree::Node* node = nodes[i];
+      ExtendedFdTree::Node* node = candidates[i];
       if (!node->is_fd_node()) continue;
       AttributeSet lhs = tree.path_of(node);
       // Lines 15-16: a node without a dynamic partition starts from the
@@ -155,25 +150,7 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
       }
       for (AttributeSet& z : v.violations) local.violations.push_back(z);
     }
-    return local;
   };
-
-  auto validate_level =
-      [&](const std::vector<ExtendedFdTree::Node*>& nodes) {
-        if (par > 1 && nodes.size() > 1) {
-          ParFdStorageBuilder builder(
-              std::min(nodes.size(), static_cast<std::size_t>(par)));
-          pool->parallel_for(
-              nodes.size(), par,
-              [&](size_t shard, size_t begin, size_t end) {
-                builder.add(shard, validate_range(nodes, *shard_refiners[shard],
-                                                  begin, end));
-              },
-              kObsDiscoverShard);
-          return builder.take_merged();
-        }
-        return validate_range(nodes, ddm.refiner(), 0, nodes.size());
-      };
 
   // Line 11: main loop over validation levels. The precise arity bound
   // stops the loop after validating LHSs of max_lhs attributes; anything
@@ -191,7 +168,11 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
 
     {
       TraceSpan level_span(kObsDiscoverValidation);
-      LevelValidationResult level = validate_level(candidates);
+      LevelValidationResult level;
+      for (LevelValidationResult& chunk : runner.run<LevelValidationResult>(
+               candidates.size(), kObsDiscoverShard, validate_chunk)) {
+        level.append(std::move(chunk));
+      }
       result.stats.validations += level.validations;
       result.stats.pairs_compared += level.pairs_checked;
       result.stats.refinements += level.refinements;
@@ -249,7 +230,7 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
       TraceSpan span(kObsDiscoverDdmUpdate);
       cl = vl;
       tree.set_controlled_level(cl);
-      result.stats.refinements += ddm.update(reusables, tree, pool, par);
+      result.stats.refinements += ddm.update(reusables, tree, runner);
       ++result.stats.ddm_updates;
     }
     mem.sample();

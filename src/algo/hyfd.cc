@@ -13,7 +13,6 @@
 #include "partition/partition_ops.h"
 #include "util/deadline.h"
 #include "util/memory.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace dhyfd {
@@ -35,12 +34,8 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
   const int m = r.num_cols();
   const AttributeSet all = AttributeSet::full(m);
 
-  ThreadPool* pool = options_.config.pool;
-  const int par = pool != nullptr ? std::max(1, options_.config.threads) : 1;
-  std::vector<std::unique_ptr<PartitionRefiner>> shard_refiners;
-  for (int i = 0; i < (par > 1 ? par : 0); ++i) {
-    shard_refiners.push_back(std::make_unique<PartitionRefiner>(r));
-  }
+  RefinerRunner runner(options_.config.pool, options_.config.threads,
+                       [&r] { return std::make_unique<PartitionRefiner>(r); });
 
   // Static single-attribute stripped partitions (HyFD's PLIs).
   std::vector<StrippedPartition> attr_partitions;
@@ -50,8 +45,8 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
     attr_partitions.push_back(BuildAttributePartition(r, a));
     supports[a] = attr_partitions.back().support();
   }
-  PartitionRefiner refiner(r);
-  NeighborhoodSampler sampler(r, attr_partitions, pool, par);
+  NeighborhoodSampler sampler(r, attr_partitions, options_.config.pool,
+                              options_.config.threads);
   size_t static_bytes = 0;
   for (const StrippedPartition& p : attr_partitions) static_bytes += p.memory_bytes();
   size_t logical_peak = 2 * static_bytes;  // PLIs + the sampler's sorted copy
@@ -84,6 +79,7 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
   sampling_phase();
   {
     StrippedPartition whole = StrippedPartition::whole(r.num_rows());
+    PartitionRefiner refiner(r);
     result.stats.validations += tree.root()->rhs.count();
     ValidationOutcome v = ValidateWithPartition(r, AttributeSet(), tree.root()->rhs,
                                                 whole, AttributeSet(), refiner);
@@ -98,13 +94,13 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
   while (vl <= tree.depth() && !result.stats.timed_out) {
     result.stats.levels = vl;
     std::vector<ExtendedFdTree::Node*> candidates = tree.level_nodes(vl);
-    // Candidate validation shards over the pool: per-candidate work is
-    // independent (reads of the static PLIs and tree paths, plus the
-    // shard-private refiner), and the shard-ordered merge keeps the
+    // Candidate validation runs in chunks over the pool: per-candidate work
+    // is independent (reads of the static PLIs and tree paths, plus the
+    // worker's own refiner), and appending the chunks in order keeps the
     // violation sequence identical to the sequential loop's.
-    auto validate_range = [&](PartitionRefiner& shard_refiner, size_t begin,
+    auto validate_chunk = [&](PartitionRefiner& worker_refiner,
+                              LevelValidationResult& local, size_t begin,
                               size_t end) {
-      LevelValidationResult local;
       for (size_t i = begin; i < end; ++i) {
         if (deadline.expired()) {
           local.timed_out = true;
@@ -123,30 +119,19 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
         });
         ValidationOutcome v =
             ValidateWithPartition(r, lhs, rhs, attr_partitions[pivot],
-                                  AttributeSet::single(pivot), shard_refiner);
+                                  AttributeSet::single(pivot), worker_refiner);
         local.pairs_checked += v.pairs_checked;
         local.refinements += v.refinements;
         local.invalidated += rhs.count() - v.valid_rhs.count();
         for (AttributeSet& z : v.violations) local.violations.push_back(z);
       }
-      return local;
     };
     LevelValidationResult level;
     {
       TraceSpan level_span(kObsDiscoverValidation);
-      if (par > 1 && candidates.size() > 1) {
-        ParFdStorageBuilder builder(
-            std::min(candidates.size(), static_cast<std::size_t>(par)));
-        pool->parallel_for(
-            candidates.size(), par,
-            [&](size_t shard, size_t begin, size_t end) {
-              builder.add(shard,
-                          validate_range(*shard_refiners[shard], begin, end));
-            },
-            kObsDiscoverShard);
-        level = builder.take_merged();
-      } else {
-        level = validate_range(refiner, 0, candidates.size());
+      for (LevelValidationResult& chunk : runner.run<LevelValidationResult>(
+               candidates.size(), kObsDiscoverShard, validate_chunk)) {
+        level.append(std::move(chunk));
       }
     }
     int64_t total = level.validations;

@@ -4,17 +4,16 @@
 
 #include "obs/obs.h"
 #include "obs/obs_schema.gen.h"
-#include "util/thread_pool.h"
 
 namespace dhyfd {
 
 NeighborhoodSampler::NeighborhoodSampler(
     const Relation& r, const std::vector<StrippedPartition>& attr_partitions,
     ThreadPool* pool, int parallelism)
-    : rel_(r), pool_(pool), parallelism_(parallelism) {
+    : rel_(r), runner_(pool, parallelism) {
   const int m = r.num_cols();
   sorted_.resize(m);
-  // Per-attribute neighborhood sort; attributes are independent, so shards
+  // Per-attribute neighborhood sort; attributes are independent, so chunks
   // write disjoint sorted_[a] slots.
   auto sort_attribute = [&](size_t a) {
     sorted_[a] = attr_partitions[a];
@@ -32,16 +31,10 @@ NeighborhoodSampler::NeighborhoodSampler(
       });
     }
   };
-  if (pool_ != nullptr && parallelism_ > 1 && m > 1) {
-    pool_->parallel_for(
-        m, parallelism_,
-        [&](size_t, size_t begin, size_t end) {
-          for (size_t a = begin; a < end; ++a) sort_attribute(a);
-        },
-        kObsDiscoverShard);
-  } else {
-    for (int a = 0; a < m; ++a) sort_attribute(a);
-  }
+  runner_.run<NoResult>(m, kObsDiscoverShard,
+                        [&](NoScratch&, NoResult&, size_t begin, size_t end) {
+                          for (size_t a = begin; a < end; ++a) sort_attribute(a);
+                        });
 }
 
 void NeighborhoodSampler::collect_attribute(AttrId a, int window,
@@ -62,32 +55,27 @@ void NeighborhoodSampler::collect_attribute(AttrId a, int window,
 
 std::vector<AttributeSet> NeighborhoodSampler::run(int window) {
   const int m = rel_.num_cols();
-  // Agree-set induction fans out per attribute; dedup stays on the calling
-  // thread, replayed in attribute order, so `fresh` (and the seen_ state
-  // feeding every later run) is independent of shard timing.
-  std::vector<std::vector<AttributeSet>> per_attr(m);
-  std::vector<int64_t> per_attr_comparisons(m, 0);
-  if (pool_ != nullptr && parallelism_ > 1 && m > 1) {
-    pool_->parallel_for(
-        m, parallelism_,
-        [&](size_t, size_t begin, size_t end) {
-          for (size_t a = begin; a < end; ++a) {
-            collect_attribute(static_cast<AttrId>(a), window, per_attr[a],
-                              per_attr_comparisons[a]);
-          }
-        },
-        kObsDiscoverShard);
-  } else {
-    for (AttrId a = 0; a < m; ++a) {
-      collect_attribute(a, window, per_attr[a], per_attr_comparisons[a]);
-    }
-  }
+  // Agree-set induction fans out over attribute chunks; dedup stays on the
+  // calling thread, replayed in chunk (= attribute) order, so `fresh` (and
+  // the seen_ state feeding every later run) is independent of timing.
+  struct Collected {
+    std::vector<AttributeSet> agree_sets;
+    int64_t comparisons = 0;
+  };
+  std::vector<Collected> chunks = runner_.run<Collected>(
+      static_cast<size_t>(m), kObsDiscoverShard,
+      [&](NoScratch&, Collected& out, size_t begin, size_t end) {
+        for (size_t a = begin; a < end; ++a) {
+          collect_attribute(static_cast<AttrId>(a), window, out.agree_sets,
+                            out.comparisons);
+        }
+      });
 
   std::vector<AttributeSet> fresh;
   int64_t comparisons = 0;
-  for (int a = 0; a < m; ++a) {
-    comparisons += per_attr_comparisons[a];
-    for (AttributeSet& ag : per_attr[a]) {
+  for (const Collected& chunk : chunks) {
+    comparisons += chunk.comparisons;
+    for (const AttributeSet& ag : chunk.agree_sets) {
       if (seen_.insert(ag).second) fresh.push_back(ag);
     }
   }

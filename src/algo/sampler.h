@@ -6,10 +6,9 @@
 
 #include "partition/stripped_partition.h"
 #include "relation/relation.h"
+#include "util/chunk_runner.h"
 
 namespace dhyfd {
-
-class ThreadPool;
 
 /// Sorted-neighborhood pair selection sampling (Hernandez & Stolfo; used by
 /// HyFD and, once at start-up, by DHyFD).
@@ -21,11 +20,11 @@ class ThreadPool;
 /// most specific non-FDs — cheaply.
 ///
 /// With a pool and parallelism > 1, the per-attribute work — neighborhood
-/// sorting in the constructor, agree-set induction in run() — is sharded
-/// over the pool. Each shard fills per-attribute buckets; the dedup against
-/// `seen_` then replays the buckets in attribute order on the calling
-/// thread, so the returned fresh agree sets are the exact sequence the
-/// sequential loop produces.
+/// sorting in the constructor, agree-set induction in run() — runs in
+/// attribute chunks over the pool. Each chunk collects its attributes'
+/// agree sets in order; the dedup against `seen_` then replays the chunks in
+/// order on the calling thread, so the returned fresh agree sets are the
+/// exact sequence the sequential loop produces.
 class NeighborhoodSampler {
  public:
   /// `attr_partitions` must contain one partition per attribute and outlive
@@ -58,8 +57,7 @@ class NeighborhoodSampler {
                          int64_t& comparisons) const;
 
   const Relation& rel_;
-  ThreadPool* pool_;
-  int parallelism_;
+  ChunkRunner<> runner_;
   // Per attribute: a CSR copy of that attribute's partition with rows in
   // sorted-neighborhood order (reordered in place via mutable_cluster).
   std::vector<StrippedPartition> sorted_;

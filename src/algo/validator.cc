@@ -134,37 +134,21 @@ ValidationOutcome ValidateApproxWithPartition(const Relation& r,
 }
 
 void LevelValidationResult::append(LevelValidationResult&& o) {
-  violations.insert(violations.end(),
-                    std::make_move_iterator(o.violations.begin()),
-                    std::make_move_iterator(o.violations.end()));
-  refuted_fds.insert(refuted_fds.end(),
-                     std::make_move_iterator(o.refuted_fds.begin()),
-                     std::make_move_iterator(o.refuted_fds.end()));
+  auto concat = [](auto& into, auto& from) {
+    if (into.empty()) {
+      into = std::move(from);
+    } else {
+      into.insert(into.end(), std::make_move_iterator(from.begin()),
+                  std::make_move_iterator(from.end()));
+    }
+  };
+  concat(violations, o.violations);
+  concat(refuted_fds, o.refuted_fds);
   validations += o.validations;
   pairs_checked += o.pairs_checked;
   refinements += o.refinements;
   invalidated += o.invalidated;
   timed_out = timed_out || o.timed_out;
-}
-
-ParFdStorageBuilder::ParFdStorageBuilder(std::size_t shards) {
-  MutexLock lock(&mu_);
-  per_shard_.resize(shards);
-}
-
-void ParFdStorageBuilder::add(std::size_t shard, LevelValidationResult result) {
-  MutexLock lock(&mu_);
-  per_shard_[shard] = std::move(result);
-}
-
-LevelValidationResult ParFdStorageBuilder::take_merged() {
-  MutexLock lock(&mu_);
-  LevelValidationResult merged;
-  for (LevelValidationResult& slice : per_shard_) {
-    merged.append(std::move(slice));
-  }
-  per_shard_.clear();
-  return merged;
 }
 
 }  // namespace dhyfd

@@ -8,8 +8,7 @@
 #include "partition/partition_ops.h"
 #include "relation/relation.h"
 #include "util/attribute_set.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "util/chunk_runner.h"
 
 namespace dhyfd {
 
@@ -53,8 +52,15 @@ ValidationOutcome ValidateApproxWithPartition(const Relation& r,
                                               PartitionRefiner& refiner,
                                               int64_t budget);
 
+/// The job's per-worker refiners: HyFD's and DHyFD's validation levels and
+/// DHyFD's DDM refresh run on one of these.
+using RefinerRunner = ChunkRunner<PartitionRefiner>;
+
 /// One contiguous slice of a validation level's results, accumulated in
-/// candidate order by whichever shard processed it.
+/// candidate order by whichever worker ran that chunk. Appending the chunk
+/// results in chunk order reproduces the sequential loop's sequence; with
+/// the total order SortBySizeDescending imposes before induction, that is
+/// what makes the parallel cover bit-identical to the sequential one.
 struct LevelValidationResult {
   /// Violation agree sets, in the order the candidates produced them.
   std::vector<AttributeSet> violations;
@@ -68,31 +74,6 @@ struct LevelValidationResult {
 
   /// Appends `o` after this slice (vectors concatenate, counters sum).
   void append(LevelValidationResult&& o);
-};
-
-/// Mutex-guarded merge point for sharded level validation: each shard adds
-/// its slice under its shard index, in whatever order shards finish, and
-/// take_merged() concatenates the slices by index — reproducing exactly the
-/// sequence a sequential candidate loop would have built. Combined with the
-/// total order SortBySizeDescending imposes before induction, this is what
-/// makes the parallel cover bit-identical to the sequential one.
-class ParFdStorageBuilder {
- public:
-  explicit ParFdStorageBuilder(std::size_t shards);
-
-  ParFdStorageBuilder(const ParFdStorageBuilder&) = delete;
-  ParFdStorageBuilder& operator=(const ParFdStorageBuilder&) = delete;
-
-  void add(std::size_t shard, LevelValidationResult result)
-      DHYFD_EXCLUDES(mu_);
-
-  /// All slices concatenated in shard order. Call once, after every shard
-  /// has added (run_shards' join is the barrier).
-  LevelValidationResult take_merged() DHYFD_EXCLUDES(mu_);
-
- private:
-  Mutex mu_;
-  std::vector<LevelValidationResult> per_shard_ DHYFD_GUARDED_BY(mu_);
 };
 
 }  // namespace dhyfd

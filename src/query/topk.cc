@@ -1,7 +1,6 @@
 #include "query/topk.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <queue>
 #include <unordered_map>
@@ -12,15 +11,13 @@
 #include "obs/trace.h"
 #include "partition/partition_ops.h"
 #include "ranking/redundancy.h"
+#include "util/chunk_runner.h"
 #include "util/deadline.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace dhyfd {
 
 namespace {
-
-constexpr std::size_t kChunksPerThread = 8;
 
 struct LevelEntry {
   AttributeSet attrs;
@@ -110,69 +107,12 @@ struct ChunkResult {
   bool timed_out = false;
 };
 
-/// Runs the walk's per-level loops over the job's pool. A loop over [0, n)
-/// is cut into min(n, 8 x threads) contiguous chunks — over-split as in the
-/// rank stage, since a pair's cost follows its partitions' sizes — and
-/// run_shards starts up to `threads` workers that claim chunks from a shared
-/// cursor. Each worker owns one Scratch, so no two running shards share an
-/// intersector or removal counter, and a walk builds at most `threads` of
-/// each. Without a pool, or at threads <= 1, the loop is one chunk on the
-/// caller.
-class LevelRunner {
- public:
-  struct Scratch {
-    explicit Scratch(const Relation& r) : intersector(r.num_rows()), approx(r) {}
-    PartitionIntersector intersector;
-    ApproxErrorCalculator approx;
-  };
-
-  LevelRunner(const Relation& r, const DiscoveryConfig& config)
-      : r_(r),
-        pool_(config.pool),
-        threads_(config.pool != nullptr ? std::max(1, config.threads) : 1),
-        scratch_(static_cast<std::size_t>(threads_)) {}
-
-  /// Calls body(scratch, chunk_result, begin, end) once per chunk and
-  /// returns the chunk results in chunk order.
-  template <typename Body>
-  std::vector<ChunkResult> run(std::size_t n, const Body& body) {
-    if (n == 0) return {};
-    const std::size_t chunks =
-        threads_ > 1
-            ? std::min(n, kChunksPerThread * static_cast<std::size_t>(threads_))
-            : 1;
-    std::vector<ChunkResult> out(chunks);
-    if (chunks == 1) {
-      body(scratch(0), out[0], std::size_t{0}, n);
-      return out;
-    }
-    std::atomic<std::size_t> next{0};
-    pool_->run_shards(
-        threads_, std::min(chunks, static_cast<std::size_t>(threads_)),
-        [&](std::size_t worker) {
-          Scratch& s = scratch(worker);
-          for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-               c < chunks; c = next.fetch_add(1, std::memory_order_relaxed)) {
-            auto [begin, end] = ThreadPool::ShardRange(n, chunks, c);
-            body(s, out[c], begin, end);
-          }
-        },
-        kObsQueryShard);
-    return out;
-  }
-
- private:
-  // Worker w alone touches slot w, and the run_shards join orders one
-  // level's use before the next's, so building on first use needs no lock.
-  Scratch& scratch(std::size_t worker) {
-    if (!scratch_[worker]) scratch_[worker] = std::make_unique<Scratch>(r_);
-    return *scratch_[worker];
-  }
-
-  const Relation& r_;
-  ThreadPool* pool_;
-  int threads_;
-  std::vector<std::unique_ptr<Scratch>> scratch_;
+/// A walk worker's own state: no two running chunks share an intersector
+/// or removal counter, and a walk builds at most `threads` of each.
+struct WalkScratch {
+  explicit WalkScratch(const Relation& r) : intersector(r.num_rows()), approx(r) {}
+  PartitionIntersector intersector;
+  ApproxErrorCalculator approx;
 };
 
 /// Candidate FDs still reachable from a level's surviving entries; the
@@ -194,7 +134,8 @@ QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
   const AttributeSet all = AttributeSet::full(m);
   const int64_t budget = ApproxRemovalBudget(q.epsilon, r.num_rows());
   const bool approx = budget > 0;
-  LevelRunner runner(r, config);
+  ChunkRunner<WalkScratch> runner(config.pool, config.threads,
+                                 [&r] { return std::make_unique<WalkScratch>(r); });
   TopKHeap heap(q.top_k);
 
   // Level 1: single attributes, validated as {} -> A against the whole
@@ -204,13 +145,13 @@ QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
     level[a].attrs = AttributeSet::single(a);
     level[a].cplus = all;
   }
-  runner.run(level.size(), [&](LevelRunner::Scratch&, ChunkResult&,
-                               std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      level[i].partition =
-          BuildAttributePartition(r, static_cast<AttrId>(i));
-    }
-  });
+  runner.run<NoResult>(level.size(), kObsQueryShard,
+                       [&](WalkScratch&, NoResult&, std::size_t begin, std::size_t end) {
+                         for (std::size_t i = begin; i < end; ++i) {
+                           level[i].partition =
+                               BuildAttributePartition(r, static_cast<AttrId>(i));
+                         }
+                       });
   CplusStore cplus_store(m);
 
   // The previous level's surviving entries and their index: their
@@ -229,7 +170,7 @@ QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
 
     // Validate: each entry tests X - A -> A for A in X & C+(X) and updates
     // only its own C+; the valid FDs are offered after the join.
-    auto validate = [&](LevelRunner::Scratch& s, ChunkResult& out,
+    auto validate = [&](WalkScratch& s, ChunkResult& out,
                         std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
         if (deadline.expired()) {
@@ -260,7 +201,8 @@ QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
         });
       }
     };
-    for (ChunkResult& chunk : runner.run(level.size(), validate)) {
+    for (ChunkResult& chunk :
+         runner.run<ChunkResult>(level.size(), kObsQueryShard, validate)) {
       result.stats.validations += chunk.validations;
       result.stats.pruned_epsilon += chunk.pruned_epsilon;
       if (chunk.timed_out) result.stats.timed_out = true;
@@ -343,7 +285,7 @@ QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
     }
     if (result.stats.timed_out) rows.clear();
 
-    auto generate = [&](LevelRunner::Scratch& s, ChunkResult& out,
+    auto generate = [&](WalkScratch& s, ChunkResult& out,
                         std::size_t begin, std::size_t end) {
       for (std::size_t row = begin; row < end; ++row) {
         const auto& [members, i] = rows[row];
@@ -376,7 +318,8 @@ QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
         }
       }
     };
-    std::vector<ChunkResult> made = runner.run(rows.size(), generate);
+    std::vector<ChunkResult> made =
+        runner.run<ChunkResult>(rows.size(), kObsQueryShard, generate);
     Level next;
     std::size_t total = 0;
     for (const ChunkResult& chunk : made) total += chunk.entries.size();

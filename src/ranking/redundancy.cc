@@ -1,18 +1,16 @@
 #include "ranking/redundancy.h"
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
 
+#include "obs/obs_schema.gen.h"
 #include "partition/stripped_partition.h"
-#include "util/thread_pool.h"
+#include "util/chunk_runner.h"
 
 namespace dhyfd {
 
 namespace {
-
-constexpr std::size_t kShardsPerThread = 8;
 
 bool AnyLhsNull(const Relation& r, RowId row, const AttributeSet& lhs) {
   bool any = false;
@@ -48,9 +46,10 @@ std::vector<FdRedundancy> ComputeFdRedundancies(const Relation& r, const FdSet& 
                                                 ThreadPool* pool) {
   const std::size_t n = cover.fds.size();
   const std::size_t m = static_cast<std::size_t>(r.num_cols());
-  const bool parallel = pool != nullptr && threads > 1 && n > 1;
+  ChunkRunner<> runner(pool, threads);
+  const bool parallel = runner.threads() > 1;
   std::vector<FdRedundancy> out(n);
-  // One bit per cell, row-major. Bits are only ever set, so shards OR into
+  // One bit per cell, row-major. Bits are only ever set, so chunks OR into
   // the shared words with relaxed atomics and the join orders every write
   // before the count below.
   std::vector<std::uint64_t> marked(
@@ -75,18 +74,12 @@ std::vector<FdRedundancy> ComputeFdRedundancies(const Relation& r, const FdSet& 
     }
   };
 
-  if (parallel) {
-    // Oversplit: an FD's cost follows its LHS width and pi_X size, so more
-    // shards than threads lets a thread that drew cheap FDs claim more.
-    const std::size_t shards =
-        std::min(n, kShardsPerThread * static_cast<std::size_t>(threads));
-    pool->run_shards(threads, shards, [&](std::size_t s) {
-      auto [begin, end] = ThreadPool::ShardRange(n, shards, s);
-      for (std::size_t i = begin; i < end; ++i) score(i);
-    });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) score(i);
-  }
+  // FD i writes only slot i, so `out` is in cover order at any degree. The
+  // chunks record the rank stage's span, so traced runs book them there.
+  runner.run<NoResult>(n, kObsProfileRank,
+                       [&](NoScratch&, NoResult&, std::size_t begin, std::size_t end) {
+                         for (std::size_t i = begin; i < end; ++i) score(i);
+                       });
 
   if (dataset != nullptr) {
     *dataset = DatasetRedundancy{};

@@ -49,11 +49,9 @@ class ThreadPool;
 /// (valid) cover, in cover order. Each FD's pi_X is built once; from it the
 /// FD is scored into its own slot and, when `dataset` is set, its redundant
 /// cells are marked in one shared rows x cols bitmap that *dataset is
-/// counted from afterwards. With a pool and threads > 1 the FDs are split
-/// into a fixed number of contiguous shards (a function of the FD count and
-/// `threads` only) run help-first over `pool` (ThreadPool::run_shards);
-/// otherwise it is a plain loop on the caller. Results are identical at any
-/// degree.
+/// counted from afterwards. The FDs run in contiguous chunks over `pool` at
+/// `threads` (ChunkRunner; a plain loop on the caller without a pool or at
+/// threads <= 1). Results are identical at any degree.
 std::vector<FdRedundancy> ComputeFdRedundancies(const Relation& r, const FdSet& cover,
                                                 DatasetRedundancy* dataset = nullptr,
                                                 int threads = 1,

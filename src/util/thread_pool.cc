@@ -222,22 +222,6 @@ void ThreadPool::run_shards(int parallelism, std::size_t shards,
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, int parallelism,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-    const char* span_name) {
-  if (n == 0) return;
-  std::size_t shards = std::min(n, static_cast<std::size_t>(
-                                       std::max(1, parallelism)));
-  run_shards(
-      parallelism, shards,
-      [&body, n, shards](std::size_t s) {
-        auto [begin, end] = ShardRange(n, shards, s);
-        body(s, begin, end);
-      },
-      span_name);
-}
-
 std::int64_t ThreadPool::tasks_executed() const {
   MutexLock lock(&mu_);
   return tasks_executed_;

@@ -46,7 +46,9 @@ class ThreadPool {
 
   /// Runs `shards` invocations of `body(shard)` for shard in [0, shards),
   /// each exactly once, using up to `parallelism` threads including the
-  /// caller. Blocks until every shard has finished.
+  /// caller. Blocks until every shard has finished. Loops over items do not
+  /// call this directly: ChunkRunner (util/chunk_runner.h) cuts them into
+  /// chunks and runs its worker loops as the shards.
   ///
   /// Execution is help-first: the caller claims shards from a shared counter
   /// itself and enlists at most min(shards, parallelism) - 1 idle workers as
@@ -71,18 +73,10 @@ class ThreadPool {
                   const std::function<void(std::size_t)>& body,
                   const char* span_name = nullptr) DHYFD_EXCLUDES(mu_);
 
-  /// Convenience over run_shards: splits [0, n) into min(parallelism, n)
-  /// near-equal contiguous chunks and runs `body(shard, begin, end)` for
-  /// each. Chunking is a pure function of (n, parallelism), never of thread
-  /// timing, so a fixed parallelism degree always produces the same shard
-  /// boundaries — the first half of the parallel ≡ sequential argument.
-  void parallel_for(
-      std::size_t n, int parallelism,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-      const char* span_name = nullptr) DHYFD_EXCLUDES(mu_);
-
   /// The contiguous [begin, end) range of shard `s` out of `shards` over n
-  /// items: the first n % shards shards get one extra item.
+  /// items: the first n % shards shards get one extra item. A pure function
+  /// of its arguments, so ChunkRunner's chunk boundaries never depend on
+  /// thread timing.
   static std::pair<std::size_t, std::size_t> ShardRange(std::size_t n,
                                                         std::size_t shards,
                                                         std::size_t s);

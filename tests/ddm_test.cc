@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "test_util.h"
 
 namespace dhyfd {
@@ -9,6 +11,11 @@ namespace {
 
 using testutil::FromValues;
 using testutil::RandomRelation;
+
+/// One refiner on the caller: the refresh at degree 1.
+RefinerRunner SequentialRunner(const Relation& r) {
+  return RefinerRunner(nullptr, 1, [&r] { return std::make_unique<PartitionRefiner>(r); });
+}
 
 TEST(DdmTest, PrecomputesAttributePartitions) {
   Relation r = FromValues({{0, 1}, {0, 1}, {1, 2}});
@@ -29,6 +36,7 @@ TEST(DdmTest, StaticIdsMapToSingletonAttrs) {
 TEST(DdmTest, UpdateBuildsDynamicPartitions) {
   Relation r = RandomRelation(3, 60, 4, 3);
   Ddm ddm(r);
+  RefinerRunner runner = SequentialRunner(r);
   ExtendedFdTree tree(4);
   tree.set_controlled_level(1);
   tree.add_fd(AttributeSet{0, 1}, AttributeSet{2});
@@ -36,7 +44,7 @@ TEST(DdmTest, UpdateBuildsDynamicPartitions) {
   std::vector<ExtendedFdTree::Node*> level2 = tree.level_nodes(2);
   ASSERT_EQ(level2.size(), 1u);  // node 1 under node 0
   tree.set_controlled_level(2);
-  ddm.update(level2, tree);
+  ddm.update(level2, tree, runner);
   EXPECT_EQ(ddm.dynamic_entries(), 1);
   // The node's id now references pi_{0,1}.
   ExtendedFdTree::Node* node = level2[0];
@@ -52,13 +60,14 @@ TEST(DdmTest, UpdateBuildsDynamicPartitions) {
 TEST(DdmTest, UpdatePropagatesIdsToDescendants) {
   Relation r = RandomRelation(5, 40, 5, 3);
   Ddm ddm(r);
+  RefinerRunner runner = SequentialRunner(r);
   ExtendedFdTree tree(5);
   tree.set_controlled_level(1);
   tree.add_fd(AttributeSet{0, 2, 4}, AttributeSet{1});
   std::vector<ExtendedFdTree::Node*> level2 = tree.level_nodes(2);
   ASSERT_EQ(level2.size(), 1u);
   tree.set_controlled_level(2);
-  ddm.update(level2, tree);
+  ddm.update(level2, tree, runner);
   // The depth-3 descendant must carry the same dynamic id.
   std::vector<ExtendedFdTree::Node*> level3 = tree.level_nodes(3);
   ASSERT_EQ(level3.size(), 1u);
@@ -68,6 +77,7 @@ TEST(DdmTest, UpdatePropagatesIdsToDescendants) {
 TEST(DdmTest, UpdateResetsUnrelatedIds) {
   Relation r = RandomRelation(7, 40, 6, 3);
   Ddm ddm(r);
+  RefinerRunner runner = SequentialRunner(r);
   ExtendedFdTree tree(6);
   tree.set_controlled_level(1);
   tree.add_fd(AttributeSet{0, 1}, AttributeSet{5});
@@ -77,9 +87,9 @@ TEST(DdmTest, UpdateResetsUnrelatedIds) {
   tree.set_controlled_level(2);
   // First update with both nodes, then a second update with only one: the
   // other node's id must fall back to its default, not dangle.
-  ddm.update(level2, tree);
+  ddm.update(level2, tree, runner);
   std::vector<ExtendedFdTree::Node*> just_one = {level2[0]};
-  ddm.update(just_one, tree);
+  ddm.update(just_one, tree, runner);
   EXPECT_EQ(ddm.dynamic_entries(), 1);
   EXPECT_GE(level2[0]->id, 6);
   EXPECT_EQ(level2[1]->id, level2[1]->attr);  // reset to default
@@ -88,16 +98,17 @@ TEST(DdmTest, UpdateResetsUnrelatedIds) {
 TEST(DdmTest, SecondUpdateRefinesFromDynamic) {
   Relation r = RandomRelation(11, 80, 5, 2);
   Ddm ddm(r);
+  RefinerRunner runner = SequentialRunner(r);
   ExtendedFdTree tree(5);
   tree.set_controlled_level(1);
   tree.add_fd(AttributeSet{0, 1, 2}, AttributeSet{4});
   auto level2 = tree.level_nodes(2);
   tree.set_controlled_level(2);
-  ddm.update(level2, tree);
+  ddm.update(level2, tree, runner);
   auto level3 = tree.level_nodes(3);
   ASSERT_EQ(level3.size(), 1u);
   tree.set_controlled_level(3);
-  ddm.update(level3, tree);
+  ddm.update(level3, tree, runner);
   EXPECT_EQ(ddm.attrs_for_id(level3[0]->id), (AttributeSet{0, 1, 2}));
   StrippedPartition dyn = ddm.partition_for_id(level3[0]->id);
   StrippedPartition direct = BuildPartition(r, AttributeSet{0, 1, 2});
@@ -109,13 +120,14 @@ TEST(DdmTest, SecondUpdateRefinesFromDynamic) {
 TEST(DdmTest, MemoryBytesIncludesDynamic) {
   Relation r = RandomRelation(13, 100, 4, 2);
   Ddm ddm(r);
+  RefinerRunner runner = SequentialRunner(r);
   size_t before = ddm.memory_bytes();
   ExtendedFdTree tree(4);
   tree.set_controlled_level(1);
   tree.add_fd(AttributeSet{0, 1}, AttributeSet{3});
   auto level2 = tree.level_nodes(2);
   tree.set_controlled_level(2);
-  ddm.update(level2, tree);
+  ddm.update(level2, tree, runner);
   EXPECT_GE(ddm.memory_bytes(), before);
 }
 

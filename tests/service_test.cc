@@ -322,14 +322,19 @@ TEST(ServiceTest, PriorityOrderOnSingleWorker) {
   JobScheduler scheduler(&datasets, &metrics, {.num_threads = 1});
   std::mutex mu;
   std::vector<int> started;  // priorities in execution order
+  std::atomic<bool> blocker_started{false};
   std::atomic<bool> release{false};
 
   ProfileJob blocker;
   blocker.dataset = "t";
-  blocker.options.stage_hook = [&release](ProfileStage, double) {
+  blocker.options.stage_hook = [&blocker_started, &release](ProfileStage, double) {
+    blocker_started.store(true);
     while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
   scheduler.submit(blocker);
+  // Only once the lone worker holds the blocker are all four jobs below
+  // pending together; otherwise it could pick one before a higher one exists.
+  while (!blocker_started.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   // Submitted low-priority first; the high-priority job must still run first
   // once the blocker releases the lone worker.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "obs/cost_ledger.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "util/chunk_runner.h"
 
 namespace dhyfd {
 namespace {
@@ -186,38 +188,165 @@ TEST(ThreadPoolShardTest, ShardRangePartitionsExactly) {
   }
 }
 
-TEST(ThreadPoolShardTest, ParallelForVisitsEveryIndexOnce) {
+TEST(ChunkRunnerTest, VisitsEveryIndexOnce) {
   ThreadPool pool(4);
+  ChunkRunner<> runner(&pool, 4);
   constexpr std::size_t kN = 1000;
-  // Plain ints are safe here because shard ranges are disjoint; were the
-  // chunking ever to hand an index to two shards, TSan would flag the race.
+  // Plain ints are safe here because chunk ranges are disjoint; were the
+  // chunking ever to hand an index to two chunks, TSan would flag the race.
   std::vector<int> visits(kN, 0);
-  pool.parallel_for(kN, 4, [&visits](std::size_t, std::size_t b,
-                                     std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) ++visits[i];
-  });
+  runner.run<NoResult>(kN, nullptr,
+                       [&visits](NoScratch&, NoResult&, std::size_t b, std::size_t e) {
+                         for (std::size_t i = b; i < e; ++i) ++visits[i];
+                       });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(visits[i], 1);
 }
 
-TEST(ThreadPoolShardTest, ParallelForChunkingIsDegreeDeterministic) {
-  // The (shard, begin, end) triples seen at degree P are a pure function of
-  // (n, P) — this is what makes parallel covers bit-identical: the merge
-  // concatenates per-shard slices whose boundaries never move between runs.
+using Ranges = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// The (begin, end) range of every chunk of a run over [0, n), in the order
+/// run() returns them.
+Ranges ChunkRanges(ThreadPool* pool, int degree, std::size_t n) {
+  ChunkRunner<> runner(pool, degree);
+  return runner.run<std::pair<std::size_t, std::size_t>>(
+      n, nullptr, [](NoScratch&, std::pair<std::size_t, std::size_t>& range,
+                     std::size_t b, std::size_t e) { range = {b, e}; });
+}
+
+TEST(ChunkRunnerTest, ChunkingIsDegreeDeterministic) {
+  // The chunk boundaries at degree P are a pure function of (n, P) — this is
+  // what makes parallel covers bit-identical: the caller concatenates chunk
+  // results whose boundaries never move between runs.
   ThreadPool pool(4);
-  auto collect = [&pool](std::size_t n, int par) {
-    std::vector<std::pair<std::size_t, std::size_t>> ranges(
-        std::min<std::size_t>(n, par));
-    Mutex mu;
-    pool.parallel_for(n, par, [&](std::size_t s, std::size_t b,
-                                  std::size_t e) {
-      MutexLock lock(&mu);
-      ranges[s] = {b, e};
-    });
-    return ranges;
-  };
-  EXPECT_EQ(collect(103, 4), collect(103, 4));
-  EXPECT_EQ(collect(103, 1),
-            (std::vector<std::pair<std::size_t, std::size_t>>{{0, 103}}));
+  EXPECT_EQ(ChunkRanges(&pool, 4, 103), ChunkRanges(&pool, 4, 103));
+  EXPECT_EQ(ChunkRanges(&pool, 4, 103).size(), 32u);
+  EXPECT_EQ(ChunkRanges(&pool, 1, 103), (Ranges{{0, 103}}));
+  // No pool is degree 1 whatever the requested degree.
+  EXPECT_EQ(ChunkRanges(nullptr, 4, 103), (Ranges{{0, 103}}));
+}
+
+TEST(ChunkRunnerTest, ResultsComeBackInChunkOrder) {
+  // Each chunk records the indices it visited; concatenated in the returned
+  // order they must be exactly 0..n-1, at every degree (8 exceeds the pool:
+  // helpers are capped by idle workers, the chunking is not).
+  ThreadPool pool(4);
+  for (int degree : {1, 2, 3, 4, 8}) {
+    ChunkRunner<> runner(&pool, degree);
+    for (std::size_t n : {0u, 1u, 3u, 7u, 1000u}) {
+      std::vector<std::vector<std::size_t>> chunks =
+          runner.run<std::vector<std::size_t>>(
+              n, nullptr, [](NoScratch&, std::vector<std::size_t>& seen,
+                             std::size_t b, std::size_t e) {
+                for (std::size_t i = b; i < e; ++i) seen.push_back(i);
+              });
+      std::size_t want_chunks =
+          degree > 1 ? std::min<std::size_t>(n, 8 * static_cast<std::size_t>(degree))
+                     : std::min<std::size_t>(n, 1);
+      EXPECT_EQ(chunks.size(), want_chunks) << "degree=" << degree << " n=" << n;
+      std::vector<std::size_t> order;
+      for (const auto& chunk : chunks) {
+        EXPECT_FALSE(chunk.empty());
+        order.insert(order.end(), chunk.begin(), chunk.end());
+      }
+      ASSERT_EQ(order.size(), n) << "degree=" << degree;
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(order[i], i);
+    }
+  }
+}
+
+TEST(ChunkRunnerTest, RethrowsChunkErrorOnCaller) {
+  ThreadPool pool(4);
+  ChunkRunner<> runner(&pool, 4);
+  std::thread::id caller = std::this_thread::get_id();
+  std::thread::id caught_on;
+  std::string message;
+  try {
+    runner.run<NoResult>(100, nullptr,
+                         [](NoScratch&, NoResult&, std::size_t b, std::size_t e) {
+                           if (b <= 50 && 50 < e) throw std::runtime_error("chunk boom");
+                         });
+  } catch (const std::runtime_error& e) {
+    caught_on = std::this_thread::get_id();
+    message = e.what();
+  }
+  EXPECT_EQ(caught_on, caller);
+  EXPECT_EQ(message, "chunk boom");
+  // The runner and its pool survive: a later run still covers every index.
+  std::atomic<std::size_t> visited{0};
+  runner.run<NoResult>(100, nullptr,
+                       [&visited](NoScratch&, NoResult&, std::size_t b, std::size_t e) {
+                         visited.fetch_add(e - b);
+                       });
+  EXPECT_EQ(visited.load(), 100u);
+}
+
+TEST(ChunkRunnerTest, NestedInPoolTaskDoesNotDeadlock) {
+  // Jobs run on pool workers and their loops fan out over the same pool:
+  // with both workers busy, each inner run's caller drains every chunk.
+  ThreadPool pool(2);
+  std::atomic<std::size_t> inner_total{0};
+  std::atomic<int> outer_done{0};
+  for (int t = 0; t < 4; ++t) {
+    ASSERT_TRUE(pool.submit([&pool, &inner_total, &outer_done] {
+      ChunkRunner<> runner(&pool, 2);
+      runner.run<NoResult>(
+          64, nullptr, [&inner_total](NoScratch&, NoResult&, std::size_t b, std::size_t e) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            inner_total.fetch_add(e - b);
+          });
+      outer_done.fetch_add(1);
+    }));
+  }
+  pool.shutdown();
+  EXPECT_EQ(outer_done.load(), 4);
+  EXPECT_EQ(inner_total.load(), 4u * 64u);
+}
+
+/// Scratch that flags any two chunks using it at once.
+struct GuardedScratch {
+  std::atomic<int> users{0};
+};
+
+TEST(ChunkRunnerTest, SaturatedPoolBuildsOneScratch) {
+  // Both workers are held, so the pool lends no helper: the caller runs all
+  // four worker loops, and only the first, which drains the cursor, claims a
+  // chunk and builds a scratch.
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(pool.submit([&release] {
+      while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }));
+  }
+  std::atomic<int> built{0};
+  ChunkRunner<GuardedScratch> runner(&pool, 4, [&built] {
+    built.fetch_add(1);
+    return std::make_unique<GuardedScratch>();
+  });
+  runner.run<NoResult>(100, nullptr, [](GuardedScratch&, NoResult&, std::size_t, std::size_t) {});
+  EXPECT_EQ(built.load(), 1);
+  release.store(true);
+}
+
+TEST(ChunkRunnerTest, IdleWorkersBuildAtMostOneScratchEach) {
+  ThreadPool pool(4);
+  std::atomic<int> built{0};
+  ChunkRunner<GuardedScratch> runner(&pool, 4, [&built] {
+    built.fetch_add(1);
+    return std::make_unique<GuardedScratch>();
+  });
+  std::atomic<int> shared{0};
+  for (int round = 0; round < 5; ++round) {
+    runner.run<NoResult>(
+        200, nullptr, [&shared](GuardedScratch& s, NoResult&, std::size_t, std::size_t) {
+          if (s.users.fetch_add(1) != 0) shared.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+          s.users.fetch_sub(1);
+        });
+  }
+  EXPECT_GE(built.load(), 1);
+  EXPECT_LE(built.load(), 4);
+  EXPECT_EQ(shared.load(), 0);  // no two running chunks shared a scratch
 }
 
 TEST(ThreadPoolShardTest, RunShardsSequentialWhenDegreeOne) {

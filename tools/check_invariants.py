@@ -38,9 +38,10 @@ Rules (suppress one occurrence with `// lint-allow: <rule>` on the line):
                    place the accepted HTTP grammar lives, so the endpoint's
                    attack surface stays auditable in one file.
   naked-thread     no raw std::thread / std::jthread outside src/util/ —
-                   compute parallelism goes through ThreadPool (run_shards /
-                   parallel_for handle slot accounting, trace propagation,
-                   and obs-delta relay; a raw thread gets none of that).
+                   compute parallelism goes through a ChunkRunner over the
+                   job's ThreadPool (run_shards underneath handles slot
+                   accounting, trace propagation, and obs-delta relay; a raw
+                   thread gets none of that).
                    std::thread::hardware_concurrency() is a capacity query,
                    not a thread, and stays legal. The rare legitimate
                    dedicated thread (an event loop, a background writer)
@@ -350,7 +351,7 @@ def check_naked_thread(path, text):
     return line_findings(
         path, text, "naked-thread", NAKED_THREAD_RE,
         lambda m: f"raw std::{m.group(1)} outside src/util/; fan work out "
-                  "through ThreadPool (run_shards/parallel_for) so slot "
+                  "through a ChunkRunner over the job's ThreadPool so slot "
                   "accounting, trace propagation, and obs-delta relay hold")
 
 
@@ -575,7 +576,7 @@ FIXTURES = [
      "std::vector<std::thread> workers_;\n", 1),
     (check_naked_thread, "src/service/good.cc",
      "unsigned hw = std::thread::hardware_concurrency();\n"
-     "pool_.parallel_for(n, par, body);\n", 0),
+     "runner.run<NoResult>(n, kObsDiscoverShard, body);\n", 0),
     (check_naked_thread, "src/util/thread_pool.cc",
      "std::vector<std::thread> to_join;\n", 0),
     (check_naked_thread, "src/service/member.cc",
